@@ -372,15 +372,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 )
             grid[key] = values
         base = {"length": args.length, "seed": args.seed}
-        if args.backend is not None:
-            from repro.config.registry import KERNEL_BACKENDS
-
-            if args.backend not in KERNEL_BACKENDS.names():
-                raise ValueError(
-                    f"unknown kernel backend {args.backend!r}; "
-                    f"choose from {', '.join(KERNEL_BACKENDS.names())}"
-                )
-            base["backend"] = args.backend
         if "suite" in study.defaults:
             if "suite" in grid:
                 if args.suites is not None:
@@ -528,15 +519,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.backend is not None:
-            import dataclasses
-
-            spec = dataclasses.replace(
-                spec,
-                processor=dataclasses.replace(
-                    spec.processor, backend=args.backend
-                ),
-            )
         study = get_study(spec.study)
         sweep = api.study_sweep_spec(spec)
         store = None if args.no_store else ResultStore(args.store)
@@ -1069,10 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--length", type=int, default=6000,
                        help="trace / address-stream length per point")
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend for every point (reference "
-                            "or vectorized; default: the study's "
-                            "default, reference)")
     sweep.add_argument("--workers", type=int, default=1,
                        help="process count (1 = serial)")
     sweep.add_argument("--store", default=None, metavar="PATH",
@@ -1118,9 +1096,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--config", required=True, metavar="PATH",
                      help="JSON StudySpec file (see `repro show-config`)")
-    run.add_argument("--backend", default=None, metavar="NAME",
-                     help="override the spec's processor.backend "
-                          "(reference or vectorized)")
     run.add_argument("--workers", type=int, default=0,
                      help="process count (default: the spec's "
                           "`workers` field)")

@@ -149,26 +149,6 @@ class ComponentRegistry:
 
 
 # ----------------------------------------------------------------------
-# Kernel backends — the simulation engines behind the cache-like models
-# ----------------------------------------------------------------------
-KERNEL_BACKENDS = ComponentRegistry("kernel backend")
-
-
-def _register_kernel_backends() -> None:
-    from repro.uarch.backends import backend_names, get_backend
-
-    for backend_name in backend_names():
-        # Bind the name per-iteration; ``get_backend`` resolves lazily so
-        # registering "vectorized" never imports numpy.
-        KERNEL_BACKENDS.register(backend_name)(
-            lambda _name=backend_name: get_backend(_name)
-        )
-
-
-_register_kernel_backends()
-
-
-# ----------------------------------------------------------------------
 # Cache-like structures (DL0, DTLB) — inversion schemes
 # ----------------------------------------------------------------------
 CACHE_SCHEMES = ComponentRegistry("cache inversion scheme")
@@ -285,7 +265,6 @@ __all__ = [
     "ADDER_MECHANISMS",
     "CACHE_SCHEMES",
     "ComponentRegistry",
-    "KERNEL_BACKENDS",
     "RF_PROTECTORS",
     "SCHEDULER_PROTECTORS",
     "registry_for_structure",

@@ -269,9 +269,6 @@ class ProcessorSpec(Spec):
     dl0_miss_penalty: int = 6
     dtlb_miss_penalty: int = 20
     seed: int = 0
-    #: Kernel backend simulating the cache-like structures; validated
-    #: against ``KERNEL_BACKENDS`` in :mod:`repro.config.registry`.
-    backend: str = "reference"
 
     def __post_init__(self) -> None:
         _require_positive(
@@ -292,13 +289,6 @@ class ProcessorSpec(Spec):
             raise SpecError(
                 f"unknown adder_policy {self.adder_policy!r}; choose from "
                 f"{', '.join(choices)}"
-            )
-        from repro.uarch.backends import backend_names
-
-        if self.backend not in backend_names():
-            raise SpecError(
-                f"unknown kernel backend {self.backend!r}; choose from "
-                f"{', '.join(backend_names())}"
             )
 
     def to_core_config(self) -> "CoreConfig":
@@ -322,7 +312,6 @@ class ProcessorSpec(Spec):
             dl0_miss_penalty=self.dl0_miss_penalty,
             dtlb_miss_penalty=self.dtlb_miss_penalty,
             seed=self.seed,
-            backend=self.backend,
         )
 
 

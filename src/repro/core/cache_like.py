@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from repro.obs.trace import TRACER as _TRACER
-from repro.uarch.backends import get_backend
 from repro.uarch.cache import Cache, CacheConfig, LineState
 
 #: Default fraction of lines kept inverted (perfect balancing needs 50%).
@@ -491,28 +490,15 @@ class ProtectedCache:
         # victim-scan work (inversions) the scheme performed inside it.
         _t = _TRACER.begin()
         if _t is None:
-            return self._dispatch_replay(addresses)
+            return self.scheme.replay(addresses)
         before = self.cache.stats.inversions
-        hits = self._dispatch_replay(addresses)
+        hits = self.scheme.replay(addresses)
         stats = self.cache.stats
         _TRACER.end(_t, "scheme.replay", scheme=self.scheme.name,
                     cache=self.cache.config.name,
                     inversions=stats.inversions - before,
                     inverted_lines=self.cache.inverted_count())
         return hits
-
-    def _dispatch_replay(self, addresses) -> int:
-        """Route the stream through the cache engine's batched scheme
-        path when it has one (``replay_scheme``, see
-        :mod:`repro.uarch.backends.vectorized`); the engine declines —
-        returns ``None`` without consuming the stream — for schemes it
-        cannot batch, which fall back to the generic scalar replay."""
-        fast = getattr(self.cache, "replay_scheme", None)
-        if fast is not None:
-            hits = fast(self.scheme, addresses)
-            if hits is not None:
-                return hits
-        return self.scheme.replay(addresses)
 
     def translate(self, address: int) -> bool:
         """TLB-compatible alias of :meth:`access`."""
@@ -604,7 +590,6 @@ def run_cache_study(
     effective_penalty: float = DL0_EFFECTIVE_PENALTY,
     base_cpi: float = 0.8,
     seed: int = 0,
-    backend: str = "reference",
 ) -> CacheStudyResult:
     """Replay streams through baseline and protected caches.
 
@@ -617,12 +602,7 @@ def run_cache_study(
         builds a plain baseline run, useful for sanity checks).
     address_streams:
         One address sequence per workload trace.
-    backend:
-        Kernel backend name building the cache engines
-        (:func:`repro.uarch.backends.get_backend`); results are
-        bit-identical across backends by contract.
     """
-    engine = get_backend(backend)
     losses: List[float] = []
     base_rates: List[float] = []
     scheme_rates: List[float] = []
@@ -634,7 +614,7 @@ def run_cache_study(
         "baseline" if scheme_factory is None else scheme_factory().name
     )
     for stream_index, stream in enumerate(address_streams):
-        baseline = engine.make_cache(config)
+        baseline = Cache(config)
         baseline.replay(stream)
         base_rate = baseline.stats.miss_rate
 
@@ -642,7 +622,7 @@ def run_cache_study(
             scheme_rate = base_rate
         else:
             scheme = scheme_factory()
-            protected = ProtectedCache(engine.make_cache(config), scheme,
+            protected = ProtectedCache(Cache(config), scheme,
                                        seed=seed + stream_index)
             protected.replay(stream)
             scheme_rate = protected.stats.miss_rate

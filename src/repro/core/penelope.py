@@ -39,13 +39,14 @@ from repro.core.metric import (
 )
 from repro.metrics import MetricSet
 from repro.nbti.guardband import DEFAULT_GUARDBAND_MODEL, GuardbandModel
-from repro.uarch.backends import get_backend
 from repro.uarch.core import (
     CompositeHooks,
     CoreConfig,
     CoreResult,
     TraceDrivenCore,
 )
+from repro.uarch.cache import Cache
+from repro.uarch.tlb import TLB
 from repro.uarch.trace import Trace
 from repro.uarch.uop import FP_WIDTH, INT_WIDTH
 
@@ -181,16 +182,15 @@ class PenelopeProcessor:
             self._scheduler_factory(effective_policy),
         ]
         hooks = CompositeHooks([m for m in mechanisms if m is not None])
-        engine = get_backend(self.config.backend)
         dl0_scheme = self._cache_factory("dl0")
         dl0 = (
-            ProtectedCache(engine.make_cache(self.config.dl0), dl0_scheme,
+            ProtectedCache(Cache(self.config.dl0), dl0_scheme,
                            seed=self.seed)
             if dl0_scheme is not None else None
         )
         dtlb_scheme = self._cache_factory("dtlb")
         dtlb = (
-            ProtectedCache(engine.make_tlb(self.config.dtlb), dtlb_scheme,
+            ProtectedCache(TLB(self.config.dtlb), dtlb_scheme,
                            seed=self.seed + 1)
             if dtlb_scheme is not None else None
         )

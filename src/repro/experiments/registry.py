@@ -78,7 +78,6 @@ def cached_address_stream(suite: str, length: int, seed: int):
 
 def cached_rf_biases(
     suite: str, length: int, seed: int, sample_period: float,
-    backend: str = "reference",
 ) -> Tuple[float, float, float]:
     """(baseline bias, ISV bias, free fraction) of the INT register file.
 
@@ -87,17 +86,15 @@ def cached_rf_biases(
     """
     from repro.core.memory_like import ISVRegisterFileProtector
     from repro.uarch import TraceDrivenCore
-    from repro.uarch.core import CoreConfig
     from repro.uarch.uop import INT_WIDTH
 
-    key = (suite, length, seed, sample_period, backend)
+    key = (suite, length, seed, sample_period)
     if key not in _RF_BIAS_CACHE:
         trace = cached_trace(suite, length, seed)
-        config = CoreConfig(backend=backend)
-        base = TraceDrivenCore(config).run(trace)
+        base = TraceDrivenCore().run(trace)
         protector = ISVRegisterFileProtector("int_rf", INT_WIDTH,
                                              sample_period)
-        prot = TraceDrivenCore(config, hooks=protector).run(trace)
+        prot = TraceDrivenCore(hooks=protector).run(trace)
         _RF_BIAS_CACHE[key] = (
             base.int_rf.worst_bias,
             prot.int_rf.worst_bias,
@@ -115,6 +112,13 @@ def _suite_index(suite: str) -> int:
 # ----------------------------------------------------------------------
 # Study registry
 # ----------------------------------------------------------------------
+#: Fields every bound point carries but no caller can set.  Point keys
+#: have always hashed the name of the cache engine that ran, and there
+#: is one engine, so the field is fixed to keep stored keys, stores and
+#: digests byte-identical.  Dropping it is a store re-key.
+FIXED_RECORD_FIELDS: Mapping[str, Any] = {"backend": "reference"}
+
+
 @dataclass(frozen=True)
 class StudyDefinition:
     """A named, parameterised experiment.
@@ -141,6 +145,7 @@ class StudyDefinition:
     def bind(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         bound = dict(self.defaults)
         bound.update(params)
+        bound.update(FIXED_RECORD_FIELDS)
         return bound
 
     def execute(self, params: Mapping[str, Any]) -> Dict[str, Any]:
@@ -276,7 +281,6 @@ def _scheme_factory(params: Mapping[str, Any], created: List[Any]):
         "dyn_warmup": 1000,
         "dyn_test_window": 1000,
         "dyn_period": 6000,
-        "backend": "reference",
     },
     spec_paths={
         **_CACHE_GEOMETRY_PATHS,
@@ -286,7 +290,6 @@ def _scheme_factory(params: Mapping[str, Any], created: List[Any]):
         "dyn_warmup": "protection.dl0.params.warmup",
         "dyn_test_window": "protection.dl0.params.test_window",
         "dyn_period": "protection.dl0.params.period",
-        "backend": "processor.backend",
     },
 )
 def run_caches_point(params: Mapping[str, Any]) -> MetricSet:
@@ -301,7 +304,6 @@ def run_caches_point(params: Mapping[str, Any]) -> MetricSet:
         _scheme_factory(params, created),
         [stream],
         seed=int(params["seed"]) + _suite_index(params["suite"]),
-        backend=str(params.get("backend", "reference")),
     )
     ms = MetricSet()
     ms.text("scheme_name", study.scheme_name)
@@ -327,14 +329,12 @@ def run_caches_point(params: Mapping[str, Any]) -> MetricSet:
         "ways": 8,
         "ratio": 0.5,
         "data_bias": 0.9,
-        "backend": "reference",
     },
     # data_bias is an analysis-only knob with no spec home: set it via
     # StudySpec.overrides (or sweep it by bare name).
     spec_paths={
         **_CACHE_GEOMETRY_PATHS,
         "ratio": "protection.dl0.params.ratio",
-        "backend": "processor.backend",
     },
 )
 def run_invert_ratio_point(params: Mapping[str, Any]) -> MetricSet:
@@ -362,17 +362,15 @@ def _expected_bias(data_bias: float, achieved: float) -> float:
         "size_kb": 16,
         "ways": 8,
         "ratio": 0.5,
-        "backend": "reference",
     },
     spec_paths={
         **_CACHE_GEOMETRY_PATHS,
         "ratio": "protection.dl0.params.ratio",
-        "backend": "processor.backend",
     },
 )
 def run_victim_policy_point(params: Mapping[str, Any]) -> MetricSet:
     from repro.core.cache_like import LineFixedScheme, run_cache_study
-    from repro.uarch.backends import get_backend
+    from repro.uarch.cache import Cache
 
     config = _cache_config(params)
     stream = cached_address_stream(
@@ -380,13 +378,12 @@ def run_victim_policy_point(params: Mapping[str, Any]) -> MetricSet:
     )
     seed = int(params["seed"]) + _suite_index(params["suite"])
     ratio = float(params["ratio"])
-    backend = str(params.get("backend", "reference"))
     lru = run_cache_study(config, lambda: LineFixedScheme(ratio),
-                          [stream], seed=seed, backend=backend)
+                          [stream], seed=seed)
     naive = run_cache_study(config,
                             lambda: AnyPositionLineFixedScheme(ratio),
-                            [stream], seed=seed, backend=backend)
-    baseline = get_backend(backend).make_cache(config)
+                            [stream], seed=seed)
+    baseline = Cache(config)
     baseline.replay(stream)
     ms = MetricSet()
     ms.gauge("lru_loss", lru.mean_loss)
@@ -423,19 +420,16 @@ class AnyPositionLineFixedScheme(_LineFixedScheme):
         "length": 5000,
         "seed": 0,
         "sample_period": 512.0,
-        "backend": "reference",
     },
     spec_paths={
         **_WORKLOAD_PATHS,
         "sample_period": "protection.sample_period",
-        "backend": "processor.backend",
     },
 )
 def run_regfile_point(params: Mapping[str, Any]) -> MetricSet:
     base_bias, isv_bias, free_fraction = cached_rf_biases(
         params["suite"], int(params["length"]), int(params["seed"]),
         float(params["sample_period"]),
-        backend=str(params.get("backend", "reference")),
     )
     ms = MetricSet()
     ms.gauge("base_worst_bias", base_bias)
@@ -453,14 +447,12 @@ def run_regfile_point(params: Mapping[str, Any]) -> MetricSet:
         "seed": 88,
         "sample_period": 512.0,
         "target": 0.70,
-        "backend": "reference",
     },
     # target (the scaled-voltage operating point) is analysis-only: set
     # it via StudySpec.overrides.
     spec_paths={
         **_WORKLOAD_PATHS,
         "sample_period": "protection.sample_period",
-        "backend": "processor.backend",
     },
 )
 def run_vmin_power_point(params: Mapping[str, Any]) -> MetricSet:
@@ -469,7 +461,6 @@ def run_vmin_power_point(params: Mapping[str, Any]) -> MetricSet:
     base_bias, isv_bias, __ = cached_rf_biases(
         params["suite"], int(params["length"]), int(params["seed"]),
         float(params["sample_period"]),
-        backend=str(params.get("backend", "reference")),
     )
     model = ArrayPowerModel()
     target = float(params["target"])
@@ -508,7 +499,6 @@ def run_vmin_power_point(params: Mapping[str, Any]) -> MetricSet:
         "dyn_warmup": 1000,
         "dyn_test_window": 1000,
         "dyn_period": 6000,
-        "backend": "reference",
     },
     spec_paths={
         "suites": "workload.suites",
@@ -524,7 +514,6 @@ def run_vmin_power_point(params: Mapping[str, Any]) -> MetricSet:
         "dyn_warmup": "protection.dl0.params.warmup",
         "dyn_test_window": "protection.dl0.params.test_window",
         "dyn_period": "protection.dl0.params.period",
-        "backend": "processor.backend",
     },
 )
 def run_multiprog_point(params: Mapping[str, Any]) -> MetricSet:
@@ -542,7 +531,7 @@ def run_multiprog_point(params: Mapping[str, Any]) -> MetricSet:
         ProtectedCache,
         performance_loss,
     )
-    from repro.uarch.backends import get_backend
+    from repro.uarch.cache import Cache
     from repro.workloads.multiprog import multiprog_address_stream
 
     raw_suites = params["suites"]
@@ -561,15 +550,14 @@ def run_multiprog_point(params: Mapping[str, Any]) -> MetricSet:
         slice_length=int(params["slice_length"]),
     )
     config = _cache_config(params)
-    engine = get_backend(str(params.get("backend", "reference")))
 
-    baseline = engine.make_cache(config)
+    baseline = Cache(config)
     baseline.replay(multiprog_address_stream(suites, **stream_kwargs))
     base_rate = baseline.stats.miss_rate
 
     created: List[Any] = []
     factory = _scheme_factory(params, created)
-    protected = ProtectedCache(engine.make_cache(config), factory(),
+    protected = ProtectedCache(Cache(config), factory(),
                                seed=int(params["seed"]))
     protected.replay(multiprog_address_stream(suites, **stream_kwargs))
     scheme_rate = protected.stats.miss_rate
@@ -607,25 +595,21 @@ def run_multiprog_point(params: Mapping[str, Any]) -> MetricSet:
         "seed": 0,
         "invert_ratio": 0.5,
         "sample_period": 512.0,
-        "backend": "reference",
     },
     spec_paths={
         **_WORKLOAD_PATHS,
         "invert_ratio": "protection.dl0.params.ratio",
         "sample_period": "protection.sample_period",
-        "backend": "processor.backend",
     },
 )
 def run_penelope_point(params: Mapping[str, Any]) -> MetricSet:
     from repro.core import PenelopeProcessor
     from repro.core.metric import nbti_efficiency
-    from repro.uarch.core import CoreConfig
 
     trace = cached_trace(
         params["suite"], int(params["length"]), int(params["seed"])
     )
     processor = PenelopeProcessor(
-        config=CoreConfig(backend=str(params.get("backend", "reference"))),
         invert_ratio=float(params["invert_ratio"]),
         sample_period=float(params["sample_period"]),
         seed=int(params["seed"]),

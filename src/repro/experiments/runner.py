@@ -12,9 +12,10 @@ Observability (PR 6): every run carries a ``run_id``; workers emit
 ``worker_heartbeat`` / ``point_error`` events and per-point
 ``sweep.queue_wait`` / ``sweep.execute`` / ``sweep.store_write`` spans
 (shipped back through the pool and merged into the parent tracer ring);
-and every store-backed sweep writes a provenance ``manifest.json`` next
-to the store — git revision, spec hash, environment, per-point wall
-times — plus an ``events.jsonl`` structured log.  All of it is inert
+and every store-backed sweep writes a provenance manifest next to the
+store (``manifests/<run_id>.json``, copied to ``manifest.json``) — git
+revision, spec hash, environment, per-point wall times — plus an
+``events.jsonl`` structured log.  All of it is inert
 unless enabled (tracer off, log auto-created only with a store), and
 none of it touches the computation: results are bit-identical with
 observability on or off (differential-tested).
@@ -35,8 +36,7 @@ from repro.metrics import MetricSet
 from repro.obs.log import EventLog, new_run_id
 from repro.obs.provenance import (
     build_manifest,
-    manifest_path_for,
-    write_manifest,
+    publish_manifest,
 )
 from repro.obs.trace import TRACER
 
@@ -222,7 +222,8 @@ class SweepResult:
     #: Provenance identity of this execution (stamped into the event
     #: log and the manifest).
     run_id: str = ""
-    #: Where the provenance manifest landed; ``None`` without a store.
+    #: This run's own manifest (``manifests/<run_id>.json`` next to
+    #: the store); ``None`` without a store.
     manifest_path: Optional[str] = None
 
     def __iter__(self):
@@ -274,7 +275,7 @@ class SweepRunner:
     run_id:
         Provenance id; freshly generated when omitted.
     manifest:
-        Write ``manifest.json`` next to the store after the run
+        Write this run's manifest next to the store after the run
         (ignored without a store).
     trace_path:
         Where the caller intends to export this run's trace — recorded
@@ -415,17 +416,15 @@ class SweepRunner:
             trace_path=self.trace_path,
             events_path=self._events_path(),
         )
-        path = manifest_path_for(self.store.path)
         try:
-            write_manifest(path, manifest)
+            return publish_manifest(self.store.path, manifest)
         except OSError as exc:
             # Provenance must never take the sweep down; the results
             # themselves are already safely in the store.
             if self.log is not None:
-                self.log.warning("manifest_error", path=path,
+                self.log.warning("manifest_error", path=self.store.path,
                                  error=str(exc))
             return None
-        return path
 
     # ------------------------------------------------------------------
     def _report(self, result: PointResult) -> None:

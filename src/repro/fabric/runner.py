@@ -58,9 +58,8 @@ from repro.fabric.store import ShardedResultStore
 from repro.obs.log import EventLog, new_run_id
 from repro.obs.provenance import (
     build_manifest,
-    manifest_path_for,
+    publish_manifest,
     spec_hash,
-    write_manifest,
 )
 
 __all__ = [
@@ -641,14 +640,12 @@ class FabricRunner:
             },
             resumed_from=self.run_id if resumed else None,
         )
-        path = manifest_path_for(self.store.path)
         try:
-            write_manifest(path, manifest)
+            return publish_manifest(self.store.path, manifest)
         except OSError as exc:
-            self.log.warning("manifest_error", path=path,
+            self.log.warning("manifest_error", path=self.store.path,
                              error=str(exc))
             return None
-        return path
 
     def close(self) -> None:
         self.board.close()

@@ -281,9 +281,6 @@ HOT_MODULES = (
     "uarch/core.py",
     "uarch/tlb.py",
     "uarch/uop.py",
-    "uarch/backends/base.py",
-    "uarch/backends/reference.py",
-    "uarch/backends/vectorized.py",
     "core/cache_like.py",
     "core/inverted_mode.py",
 )

@@ -79,12 +79,8 @@ class StressPhase(enum.Enum):
 # Kernel primitives
 # ----------------------------------------------------------------------
 # The exact per-interval exponential update is split into one transcendental
-# step (the decay factor, always evaluated through scalar ``math.exp``) and
-# IEEE-exact multiply/subtract steps.  The kernel backends
-# (:mod:`repro.uarch.backends`) batch the second half across many nodes
-# while reusing the same scalar decay factor, which keeps them
-# bit-identical to this module: ``exp`` is the only operation whose
-# last-ulp rounding could differ between libm and an array library.
+# step (the decay factor, evaluated through scalar ``math.exp``) and
+# IEEE-exact multiply/subtract steps applying it to a trap count.
 def stress_decay(k_stress: float, duration: float) -> float:
     """Exponential decay factor ``exp(-k_s * t)`` of one stress interval."""
     return math.exp(-k_stress * duration)

@@ -3,9 +3,9 @@
 A JSONL store row says *what* was measured; the manifest next to it
 says *how*: which code revision, package version, interpreter, host,
 spec, worker count and wall-clock produced the rows.  Every sweep with
-a result store writes ``manifest.json`` into the store's directory
-(last run wins — the store itself stays the complete history), and
-``repro results`` / ``repro report`` surface it as a provenance header.
+a result store writes ``manifests/<run_id>.json`` into the store's
+directory, plus ``manifest.json`` as a copy of the latest run's, which
+``repro results`` / ``repro report`` surface as a provenance header.
 
 Everything here is failure-tolerant: a missing ``git`` binary, a
 non-checkout install, or an unwritable directory degrade to ``None``
@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import socket
 import subprocess
 import sys
@@ -27,13 +28,34 @@ from typing import Any, Dict, List, Mapping, Optional
 #: Schema tag so later readers can evolve the format.
 MANIFEST_SCHEMA = "repro.manifest/1"
 
-#: Canonical manifest filename, written next to the result store.
+#: Latest run's manifest filename, written next to the result store.
 MANIFEST_NAME = "manifest.json"
+
+#: Directory of per-run manifests, next to the result store.
+MANIFEST_DIR = "manifests"
 
 
 def manifest_path_for(store_path: str) -> str:
-    """``manifest.json`` in the result store's directory."""
+    """``manifest.json`` (the latest run's) in the store's directory."""
     return os.path.join(os.path.dirname(store_path) or ".", MANIFEST_NAME)
+
+
+def publish_manifest(store_path: str, manifest: Mapping[str, Any]) -> str:
+    """Write ``manifests/<run_id>.json`` in the store's directory, then
+    copy it to ``manifest.json`` as the latest run's.
+
+    Returns the per-run path.  Both writes are atomic and their temp
+    files are named by run, so concurrent runs on one store never leave
+    a torn file; the latest copy is whichever run finished last.
+    """
+    directory = os.path.dirname(store_path) or "."
+    run_id = str(manifest["run_id"])
+    path = os.path.join(directory, MANIFEST_DIR, f"{run_id}.json")
+    write_manifest(path, manifest)
+    temp = os.path.join(directory, f".{MANIFEST_NAME}.{run_id}.tmp")
+    shutil.copyfile(path, temp)
+    os.replace(temp, os.path.join(directory, MANIFEST_NAME))
+    return path
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[Dict[str, Any]]:

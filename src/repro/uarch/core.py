@@ -30,8 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics import MetricSet
 from repro.obs.trace import TRACER as _TRACER
-from repro.uarch.backends import get_backend
-from repro.uarch.cache import CacheConfig, CacheStats
+from repro.uarch.cache import Cache, CacheConfig, CacheStats
 from repro.uarch.mob import MemoryOrderBuffer
 from repro.uarch.ports import AdderPolicy, AdderPool
 from repro.uarch.regfile import RegisterFile, RegisterFileStats
@@ -123,9 +122,6 @@ class CoreConfig:
     dl0_miss_penalty: int = 6
     dtlb_miss_penalty: int = 20
     seed: int = 0
-    #: Kernel backend building the DL0/DTLB engines ("reference" or
-    #: "vectorized"); see :mod:`repro.uarch.backends`.
-    backend: str = "reference"
 
     def __post_init__(self) -> None:
         if self.alloc_width <= 0 or self.issue_width <= 0:
@@ -213,9 +209,8 @@ class TraceDrivenCore:
         self.adders = AdderPool(
             n_adders=cfg.n_adders, policy=cfg.adder_policy, seed=cfg.seed
         )
-        engine = get_backend(cfg.backend)
-        self.dl0 = dl0 if dl0 is not None else engine.make_cache(cfg.dl0)
-        self.dtlb = dtlb if dtlb is not None else engine.make_tlb(cfg.dtlb)
+        self.dl0 = dl0 if dl0 is not None else Cache(cfg.dl0)
+        self.dtlb = dtlb if dtlb is not None else TLB(cfg.dtlb)
         #: architectural register namespace -> ready time of last writer
         self._ready: Dict[Tuple[bool, int], float] = {}
         #: architectural register namespace -> current physical mapping

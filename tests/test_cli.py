@@ -463,7 +463,17 @@ class TestCommands:
              "300", "--no-store", "--metrics", "mean_losss"],
             ["sweep", "caches", "--grid", "ratoi=0.4,0.6", "--suites",
              "office", "--no-store"],
+            # There is one cache engine: `backend` is a fixed record
+            # field, not a parameter, and --backend is not an option.
+            ["sweep", "caches", "--grid", "backend=vectorized",
+             "--suites", "office", "--no-store"],
+            ["sweep", "caches", "--backend", "reference", "--suites",
+             "office", "--no-store"],
         ]
         for argv in cases:
-            assert main(argv) == 2, argv
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+            assert code == 2, argv
             assert "error:" in capsys.readouterr().err, argv

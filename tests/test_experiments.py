@@ -346,6 +346,47 @@ class TestRegistry:
                 {"length": 200, "scheme": "bogus"}
             )
 
+    #: Default-point key of every study, as stored before the kernel
+    #: engine became a fixed record field.  A change here re-keys every
+    #: stored result: that needs a store migration, not a new literal.
+    DEFAULT_POINT_KEYS = {
+        "caches": "e9f64d9eb2c4a11c4d38",
+        "invert_ratio": "f23a3099ce6a1b0abdc9",
+        "multiprog": "266762bf150386a28e1c",
+        "penelope": "311b14d37abbd5a85655",
+        "regfile": "b1e4fa4135a486b2a392",
+        "victim_policy": "44ca24374ca1e763139d",
+        "vmin_power": "6b3900fa4fd6006d48f5",
+    }
+
+    def test_default_point_keys_are_stable(self):
+        assert set(self.DEFAULT_POINT_KEYS) == set(study_names())
+        for name, key in self.DEFAULT_POINT_KEYS.items():
+            point = ExperimentPoint.from_dict(name,
+                                              get_study(name).bind({}))
+            assert point.key == key, name
+
+    def test_backend_is_a_fixed_record_field(self):
+        for name in study_names():
+            study = get_study(name)
+            assert "backend" not in study.defaults, name
+            assert "backend" not in study.spec_paths, name
+            assert study.bind({})["backend"] == "reference", name
+        with pytest.raises(ValueError, match="unknown parameter"):
+            run_sweep(SweepSpec("caches",
+                                grid={"backend": ["vectorized"]}))
+
+    def test_backend_is_not_a_spec_field(self):
+        from repro.api import study_sweep_spec
+        from repro.config.specs import SpecError, StudySpec
+
+        with pytest.raises(SpecError, match="backend"):
+            study_sweep_spec(StudySpec(study="caches",
+                                       overrides={"backend": "reference"}))
+        with pytest.raises(SpecError, match="backend"):
+            StudySpec.from_dict({"study": "caches",
+                                 "processor": {"backend": "reference"}})
+
 
 class TestSummary:
     def _results(self):

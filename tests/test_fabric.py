@@ -425,6 +425,23 @@ class TestFabricRunner:
         assert os.path.exists(fabric["journal"])
         assert manifest["totals"]["points"] == 4
 
+    def test_consecutive_runs_keep_their_own_manifests(self, tmp_path):
+        runner = FabricRunner(str(tmp_path), workers=1)
+        first = runner.run(tiny_spec())
+        runner.close()
+        runner = FabricRunner(str(tmp_path), workers=1)
+        second = runner.run(tiny_spec())
+        runner.close()
+        assert first.run_id != second.run_id
+        for outcome in (first, second):
+            assert os.path.dirname(outcome.manifest_path) == \
+                os.path.join(str(tmp_path), "manifests")
+            manifest = load_manifest(outcome.manifest_path)
+            assert manifest["run_id"] == outcome.run_id
+        latest = load_manifest(manifest_path_for(
+            os.path.join(str(tmp_path), "fabric.json")))
+        assert latest["run_id"] == second.run_id
+
     def test_resume_rejects_mismatched_spec(self, tmp_path):
         runner = FabricRunner(str(tmp_path), workers=1)
         runner.run(tiny_spec())

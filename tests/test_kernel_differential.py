@@ -133,6 +133,23 @@ class TestCountersMatchOracle:
         assert snapshot(protected.cache) == first_state
 
 
+@pytest.mark.parametrize("scheme_cls", [SetFixedScheme, WayFixedScheme],
+                         ids=["set_fixed", "way_fixed"])
+def test_rotation_extremes_match_per_access_run(scheme_cls):
+    """Rotating every access, every other access, and rarely: the
+    batched replay still equals the per-access run."""
+    stream = random_stream(5, length=2500)
+    for period in (1, 2, 9_999):
+        one = ProtectedCache(Cache(CONFIG),
+                             scheme_cls(0.5, rotation_period=period), seed=3)
+        hits = sum(one.access(address) for address in stream)
+        two = ProtectedCache(Cache(CONFIG),
+                             scheme_cls(0.5, rotation_period=period), seed=3)
+        assert two.replay(stream) == hits, period
+        assert one.stats == two.stats, period
+        assert snapshot(one.cache) == snapshot(two.cache), period
+
+
 class TestBaselineReplay:
     def test_replay_matches_access_loop(self):
         stream = random_stream(7)
@@ -141,6 +158,20 @@ class TestBaselineReplay:
         assert two.replay(stream) == sum(hit_sequence)
         assert one.stats == two.stats
         assert snapshot(one) == snapshot(two)
+
+    @pytest.mark.parametrize("config", [
+        CacheConfig(name="g-1K-2w", size_bytes=1024, ways=2),
+        CacheConfig(name="g-8K-8w", size_bytes=8 * 1024, ways=8),
+        CacheConfig(name="g-32K-4w", size_bytes=32 * 1024, ways=4),
+    ], ids=lambda config: config.name)
+    def test_replay_matches_access_loop_across_geometries(self, config):
+        for length in (0, 1, 37, 700):
+            stream = random_stream(length, length=length, span_lines=4096)
+            one, two = Cache(config), Cache(config)
+            hits = sum(one.access(address) for address in stream)
+            assert two.replay(iter(stream)) == hits, length
+            assert one.stats == two.stats, length
+            assert snapshot(one) == snapshot(two), length
 
     def test_replay_hit_sequence_prefixes(self):
         # replay() over any prefix leaves the same state as access():

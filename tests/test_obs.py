@@ -529,7 +529,8 @@ class TestRunnerObservability:
         store = ResultStore(str(tmp_path / "store.jsonl"))
         outcome = run_sweep(_tiny_spec(), store=store)
         assert outcome.run_id
-        assert outcome.manifest_path == str(tmp_path / "manifest.json")
+        assert outcome.manifest_path == str(
+            tmp_path / "manifests" / f"{outcome.run_id}.json")
         manifest = load_manifest(outcome.manifest_path)
         assert manifest["run_id"] == outcome.run_id
         assert manifest["study"] == "caches"
@@ -549,6 +550,24 @@ class TestRunnerObservability:
         manifest = load_manifest(rerun.manifest_path)
         assert manifest["run_id"] == rerun.run_id
         assert manifest["totals"]["cache_hits"] == 2
+
+    def test_consecutive_runs_keep_their_own_manifests(self, tmp_path):
+        """Two runs on one store: each result's manifest carries its
+        own run id, and manifest.json is the latest run's."""
+        from repro.experiments import ResultStore, run_sweep
+
+        store = ResultStore(str(tmp_path / "store.jsonl"))
+        first = run_sweep(_tiny_spec(), store=store)
+        second = run_sweep(_tiny_spec(), store=store)
+        assert first.manifest_path != second.manifest_path
+        assert load_manifest(first.manifest_path)["run_id"] == \
+            first.run_id
+        assert load_manifest(first.manifest_path)["totals"][
+            "executed"] == 2
+        assert load_manifest(second.manifest_path)["run_id"] == \
+            second.run_id
+        latest = load_manifest(manifest_path_for(store.path))
+        assert latest == load_manifest(second.manifest_path)
 
     def test_point_error_names_point_and_lands_in_event_log(
             self, tmp_path):

@@ -25,6 +25,7 @@ import pytest
 from repro.client import ServiceClient, ServiceError
 from repro.experiments import SweepRunner, SweepSpec
 from repro.experiments.registry import _STUDIES, register_study
+from repro.obs.provenance import load_manifest
 from repro.service import SweepService, TokenAuth
 from repro.service import ws
 from repro.service.hub import CLOSE, Hub
@@ -364,6 +365,10 @@ class TestLiveService:
             status = client.wait(job_id, timeout=60)
             assert status["state"] == "done"
             assert status["done"] == 2
+            # The job's own manifest, not the store's latest-run copy.
+            assert status["manifest"].endswith(
+                os.path.join("manifests", f"{job_id}.json"))
+            assert load_manifest(status["manifest"])["run_id"] == job_id
 
             rows = client.result(job_id)["rows"]
             assert len(rows) == 2

@@ -98,6 +98,15 @@ class TestCacheBasics:
         # LRU stacks are back to construction order.
         assert cache.lru_position(set_index, 0) == 0
 
+    def test_reset_then_replay_reproduces_first_run(self):
+        cache = small_cache(size=2048, ways=4)
+        stream = [(i * 7919) % 8192 for i in range(600)]
+        cache.replay(stream)
+        first = (cache.stats, cache.metrics().flatten())
+        cache.reset()
+        cache.replay(stream)
+        assert (cache.stats, cache.metrics().flatten()) == first
+
 
 class TestInversionStates:
     def test_invert_line_makes_it_unusable(self):
