@@ -105,9 +105,18 @@ class AgingSimulator:
         vectors: Iterable[Mapping[str, int]],
         duration_each: float = 1.0,
     ) -> None:
-        """Hold each vector of a sequence for the same duration."""
-        for vector in vectors:
-            self.apply(vector, duration_each)
+        """Hold each vector of a sequence for the same duration: one
+        bit-parallel :meth:`Circuit.evaluate_lanes` for the batch, bit-
+        identical to :meth:`apply` per vector.  A bad vector records nothing."""
+        batch = list(vectors)
+        if batch and duration_each < 0.0:
+            raise ValueError("duration must be non-negative")
+        if not batch or duration_each == 0.0:
+            return
+        words = self.circuit.evaluate_lanes(batch)
+        self.ledger.observe_lanes(words, len(batch), duration_each)
+        for __ in batch:
+            self._elapsed += duration_each
 
     def apply_weighted(
         self, weighted_vectors: Iterable[Tuple[Mapping[str, int], float]]

@@ -20,6 +20,7 @@ each primitive simply owns one PMOS per input pin.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -42,6 +43,13 @@ _EVALUATORS: Dict[GateKind, Callable[..., int]] = {
     GateKind.INV: lambda a: 1 - a,
     GateKind.NAND2: lambda a, b: 1 - (a & b),
     GateKind.NOR2: lambda a, b: 1 - (a | b),
+}
+
+#: The non-inverted function of each kind, on bit-parallel lane words.
+_LANE_FUNCTIONS: Dict[GateKind, Callable[..., int]] = {
+    GateKind.INV: lambda a: a,
+    GateKind.NAND2: operator.and_,
+    GateKind.NOR2: operator.or_,
 }
 
 
@@ -96,6 +104,11 @@ class Gate:
             if value not in (0, 1):
                 raise ValueError(f"gate inputs must be 0/1, got {value!r}")
         return _EVALUATORS[self.kind](*values)
+
+    def evaluate_lanes(self, words: Sequence[int], mask: int) -> int:
+        """Bit-parallel :meth:`evaluate`: bit ``v`` of every word is the
+        pin value under input vector ``v``; ``mask`` sets every lane."""
+        return mask ^ _LANE_FUNCTIONS[self.kind](*words)
 
     @property
     def transistor_count(self) -> int:

@@ -29,6 +29,7 @@ class Circuit:
         self._inputs: List[str] = []
         self._outputs: List[str] = []
         self._order: Optional[List[Gate]] = None
+        self._fanout: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -55,7 +56,7 @@ class Circuit:
             raise ValueError(f"node {gate.output!r} is a primary input")
         self._gates.append(gate)
         self._driver[gate.output] = gate
-        self._order = None
+        self._order = self._fanout = None
         return gate
 
     # ------------------------------------------------------------------
@@ -87,7 +88,13 @@ class Circuit:
 
     def fanout(self, node: str) -> int:
         """Number of gate input pins driven by ``node``."""
-        return sum(gate.inputs.count(node) for gate in self._gates)
+        if self._fanout is None:
+            fanout: Dict[str, int] = {}
+            for gate in self._gates:
+                for pin in gate.inputs:
+                    fanout[pin] = fanout.get(pin, 0) + 1
+            self._fanout = fanout
+        return self._fanout.get(node, 0)
 
     def driver_of(self, node: str) -> Optional[Gate]:
         return self._driver.get(node)
@@ -137,20 +144,41 @@ class Circuit:
         dict
             Logic value of *every* node (inputs and gate outputs).
         """
-        missing = [n for n in self._inputs if n not in input_values]
-        if missing:
-            raise ValueError(f"missing values for inputs: {missing[:8]}")
-        values: Dict[str, int] = {}
-        for node in self._inputs:
-            value = input_values[node]
-            if value not in (0, 1):
-                raise ValueError(f"input {node!r} must be 0/1, got {value!r}")
-            values[node] = value
+        self._check_inputs(input_values)
+        values = {node: input_values[node] for node in self._inputs}
         for gate in self.topological_order():
             values[gate.output] = gate.evaluate(
                 [values[node] for node in gate.inputs]
             )
         return values
+
+    def evaluate_lanes(self, vectors: Sequence[Mapping[str, int]]) -> Dict[str, int]:
+        """Bit-parallel :meth:`evaluate` of many input vectors.
+
+        Every node (in :meth:`evaluate`'s order) maps to one int whose
+        bit ``v`` is its value under ``vectors[v]``, so each gate costs
+        one bitwise operation per batch.
+        """
+        words = dict.fromkeys(self._inputs, 0)
+        for lane, vector in enumerate(vectors):
+            self._check_inputs(vector)
+            for node in self._inputs:
+                words[node] |= vector[node] << lane
+        mask = (1 << len(vectors)) - 1
+        for gate in self.topological_order():
+            words[gate.output] = gate.evaluate_lanes(
+                [words[node] for node in gate.inputs], mask
+            )
+        return words
+
+    def _check_inputs(self, input_values: Mapping[str, int]) -> None:
+        missing = [n for n in self._inputs if n not in input_values]
+        if missing:
+            raise ValueError(f"missing values for inputs: {missing[:8]}")
+        for node in self._inputs:
+            value = input_values[node]
+            if value not in (0, 1):
+                raise ValueError(f"input {node!r} must be 0/1, got {value!r}")
 
     def output_values(self, input_values: Mapping[str, int]) -> Dict[str, int]:
         """Evaluate and return only the declared primary outputs."""
@@ -183,7 +211,7 @@ class Circuit:
             self._gates[index] = replacement
             self._driver[gate.output] = replacement
             converted += 1
-        self._order = None
+        self._order = self._fanout = None
         return converted
 
     def apply_fanout_sizing(self, wide_threshold: int = 4) -> int:

@@ -144,8 +144,10 @@ class IdleInputInjector:
         simulator = AgingSimulator(self.adder.circuit, self.guardband_model)
         busy_share = utilization if inject else 1.0
         weight = busy_share / len(real_vectors)
-        for vector in real_vectors:
-            simulator.apply(self.adder.input_vector(*vector), weight)
+        simulator.apply_sequence(
+            [self.adder.input_vector(*vector) for vector in real_vectors],
+            weight,
+        )
         if inject and utilization < 1.0:
             inputs = synthetic_inputs(self.adder.width)
             idle_each = (1.0 - utilization) / 2.0

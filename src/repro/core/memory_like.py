@@ -24,9 +24,11 @@ registered by name in :data:`repro.config.registry.RF_PROTECTORS`
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from collections import Counter
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.policy import BitDirective, Technique, choose_technique, repair_bit
+from repro.uarch.bitbias import bit_weights
 from repro.uarch.core import CoreHooks
 from repro.uarch.regfile import RegisterFile
 from repro.uarch.scheduler import Scheduler
@@ -227,6 +229,8 @@ class SchedulerProtector(CoreHooks):
         self._phase_counter = 0
         self.updates_written = 0
         self.updates_skipped = 0
+        self._words = [self._repair_words(step / K_PHASE_STEPS)
+                       for step in range(K_PHASE_STEPS)]
 
     # -- CoreHooks ------------------------------------------------------
     def on_scheduler_fill(self, sched: Scheduler, slot: int, uop: Uop,
@@ -242,9 +246,13 @@ class SchedulerProtector(CoreHooks):
 
     def on_scheduler_release(self, sched: Scheduler, slot: int,
                              now: float) -> None:
-        values = self._compose_repair_values(sched)
-        if not values:
+        words = self._words[self._phase_counter % K_PHASE_STEPS]
+        if not words:
             return
+        values = {
+            fieldname: const if rinv is None else const | (rinv.value & isv)
+            for fieldname, const, rinv, isv in words
+        }
         if sched.write_special(slot, values, now):
             self.updates_written += 1
         else:
@@ -252,28 +260,31 @@ class SchedulerProtector(CoreHooks):
         self._phase_counter += 1
 
     # -- internals ------------------------------------------------------
-    def _compose_repair_values(self, sched: Scheduler) -> Dict[str, int]:
-        phase = (self._phase_counter % K_PHASE_STEPS) / K_PHASE_STEPS
-        values: Dict[str, int] = {}
+    def _repair_words(
+        self, phase: float
+    ) -> List[Tuple[str, int, Optional[RINVRegister], int]]:
+        """``(field, constant bits, RINV, ISV mask)`` per repaired field
+        at one K-phase step; a release writes ``constant | (RINV.value &
+        ISV mask)``, as RINV already holds the inverted sample.  Fields
+        whose bits all repair to None are omitted; None bits write 0."""
+        words = []
         for fieldname, directives in self.policy.items():
             rinv = self.rinv.get(fieldname)
-            inverted_sample = rinv.value if rinv is not None else None
-            composed = 0
+            const = isv = 0
             any_bit = False
             for bit_index, directive in enumerate(directives):
-                sampled_bit = None
-                if inverted_sample is not None:
-                    # RINV already stores the inversion; undo it here
-                    # because repair_bit() inverts sampled bits itself.
-                    sampled_bit = 1 - ((inverted_sample >> bit_index) & 1)
-                bit = repair_bit(directive, phase, sampled_bit)
-                if bit is None:
+                if directive.technique is Technique.ISV:
+                    if rinv is not None:
+                        isv |= 1 << bit_index
+                        any_bit = True
                     continue
-                any_bit = True
-                composed |= bit << bit_index
+                bit = repair_bit(directive, phase)
+                if bit is not None:
+                    any_bit = True
+                    const |= bit << bit_index
             if any_bit:
-                values[fieldname] = composed
-        return values
+                words.append((fieldname, const, rinv if isv else None, isv))
+        return words
 
 
 class SchedulerProfiler(CoreHooks):
@@ -286,37 +297,30 @@ class SchedulerProfiler(CoreHooks):
     """
 
     def __init__(self) -> None:
-        layout = SCHEDULER_LAYOUT
         self.fills = 0
-        self._ones = {
-            name: [0] * width for name, width in layout.fields().items()
+        #: field -> histogram of the dispatched field values
+        self._values: Dict[str, Counter] = {
+            name: Counter() for name in SCHEDULER_LAYOUT.fields()
         }
-        self._field_fills = {name: 0 for name in layout.fields()}
 
     def on_scheduler_fill(self, sched: Scheduler, slot: int, uop: Uop,
                           now: float) -> None:
         self.fills += 1
         mob_id = 0 if uop.uop_class.is_memory else None
         values = sched.field_values(uop, mob_id=mob_id)
-        for name, counts in self._ones.items():
-            if name not in values:
-                continue
-            self._field_fills[name] += 1
-            value = values[name]
-            for bit_index in range(len(counts)):
-                counts[bit_index] += (value >> bit_index) & 1
+        for name, value in values.items():
+            self._values[name][value] += 1
 
     def busy_bias_to_zero(self) -> Dict[str, List[float]]:
-        """Per-field, per-bit fraction of dispatched payloads with a 0."""
+        """Per-field, per-bit fraction of dispatched payloads with a 0
+        (exact: derived from integer value counts)."""
         if self.fills == 0:
             raise ValueError("no fills profiled yet")
-        return {
-            name: [
-                1.0 - ones / max(1, self._field_fills[name])
-                for ones in counts
-            ]
-            for name, counts in self._ones.items()
-        }
+        bias = {}
+        for name, width in SCHEDULER_LAYOUT.fields().items():
+            fills, ones = bit_weights(self._values[name].items(), width)
+            bias[name] = [1.0 - count / max(1, fills) for count in ones]
+        return bias
 
 
 def derive_scheduler_policy(

@@ -15,8 +15,8 @@ the full guardband (inverting periodically cannot even cover the adder).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
-
 
 from repro.circuits.ladner_fischer import (
     LadnerFischerAdder,
@@ -45,10 +45,18 @@ from repro.uarch.core import (
     CoreResult,
     TraceDrivenCore,
 )
+from repro.uarch.bitbias import worst_of
 from repro.uarch.cache import Cache
 from repro.uarch.tlb import TLB
 from repro.uarch.trace import Trace
 from repro.uarch.uop import FP_WIDTH, INT_WIDTH
+
+
+@lru_cache(maxsize=None)
+def _default_adder() -> LadnerFischerAdder:
+    """The default adder, built once per process on first use; aging
+    only evaluates its netlist, so every evaluation can share it."""
+    return build_ladner_fischer_adder()
 
 
 @dataclass
@@ -209,7 +217,7 @@ class PenelopeProcessor:
         protected = [self.run_protected(trace, policy) for trace in workload]
 
         # -- adder: idle injection at the measured utilisation ----------
-        adder = self._adder or build_ladner_fischer_adder()
+        adder = self._adder or _default_adder()
         vectors = [v for res in baseline for v in res.adder_samples]
         if not vectors:
             vectors = [(0, 0, 0)]
@@ -341,8 +349,7 @@ def _merged_rf_bias(results: Sequence[CoreResult], fp: bool) -> float:
         total = (contribution if total is None
                  else [t + c for t, c in zip(total, contribution)])
         weight += res.cycles
-    bias = [t / weight for t in total]
-    return float(max(max(b, 1.0 - b) for b in bias))
+    return worst_of(t / weight for t in total)
 
 
 def _merged_scheduler_bias(results: Sequence[CoreResult]) -> float:
@@ -355,8 +362,7 @@ def _merged_scheduler_bias(results: Sequence[CoreResult]) -> float:
         total = (contribution if total is None
                  else [t + c for t, c in zip(total, contribution)])
         weight += res.cycles
-    bias = [t / weight for t in total]
-    return float(max(max(b, 1.0 - b) for b in bias))
+    return worst_of(t / weight for t in total)
 
 
 def _combined_cpi(

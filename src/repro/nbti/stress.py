@@ -77,6 +77,23 @@ class StressLedger:
         """Record ``node`` holding ``value`` for ``duration`` time units."""
         self._node(node).observe(value, duration)
 
+    def observe_lanes(
+        self, words: Mapping[object, int], lanes: int, duration: float = 1.0
+    ) -> None:
+        """:meth:`observe` of every node in ``lanes`` observations, where
+        bit ``v`` of ``words[node]`` is the value in observation ``v``.
+        Bit-identical: ``duration`` is added once per observation, in
+        order, never as ``count * duration``."""
+        if duration < 0.0:
+            raise ValueError("duration must be non-negative")
+        for node, word in words.items():
+            ones = word.bit_count()
+            stress = self._node(node)
+            for __ in range(lanes - ones):
+                stress.time_at_zero += duration
+            for __ in range(ones):
+                stress.time_at_one += duration
+
     def observe_word(
         self, prefix: object, word: int, width: int, duration: float = 1.0
     ) -> None:

@@ -3,21 +3,28 @@
 Storage structures accrue NBTI stress according to *how long* each bit
 cell holds "0" vs "1" (Section 3.2).  Accounting naively (every cell,
 every cycle) is prohibitively slow; instead :class:`BitBiasAccumulator`
-closes a residency interval only when a cell's value changes:
+closes a residency interval only when an entry's value changes, and it
+closes it at word level: each entry keeps a histogram ``value -> held
+time``, so a close is one dict add whatever the width (a histogram
+past :data:`FOLD_AT` values is folded into an equivalent small one).
+Per-bit zero and one times are derived when read, by grouping the held
+time per byte of the value (:func:`bit_weights`).
 
-    entries x width matrices ``time_zero`` / ``time_one`` accumulate
-    ``(now - since[entry]) * bit`` on each value change of ``entry``.
+Exactness contract: the trace-driven core (and the branch predictor's
+default clock) stamps every event with an integral cycle count held in
+a float.  Every interval, and every sum of intervals, is then an exact
+integer below 2**53, so the grouping order cannot change a bit and the
+derived totals equal what a per-bit accumulator (``time_one[e][i] +=
+duration`` per close) computes.  Fractional times stay correct to float
+rounding but are not guaranteed bit-identical to that per-bit order.
 
-Values are unpacked to bit vectors with numpy, so a write costs O(width)
-vectorised work instead of O(width) Python loop iterations.  When numpy
-is not installed (the ``fast`` extra), a pure-Python branch keeps the
-accounting available at reduced speed; the numpy path is unchanged.
+Pure Python: reads return float64 arrays when numpy is importable and
+plain lists otherwise, converted once at the return.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 try:
     import numpy as np
@@ -27,21 +34,6 @@ except ImportError:  # pragma: no cover - exercised on the no-numpy leg
 from repro.metrics import MetricSet
 
 
-@lru_cache(maxsize=1 << 16)
-def _unpack_small(value: int, width: int):
-    """Cached unpack for the narrow fields that dominate the hot path.
-
-    The returned array is shared across callers and must be treated as
-    read-only; :class:`BitBiasAccumulator` only copy-assigns it into its
-    state matrix.
-    """
-    if np is None:
-        return tuple((value >> i) & 1 for i in range(width))
-    raw = np.frombuffer(value.to_bytes((width + 7) // 8, "little"),
-                        dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:width]
-
-
 def unpack_bits(value: int, width: int):
     """Little-endian bit vector (uint8 array, or tuple without numpy)."""
     if value < 0:
@@ -49,8 +41,6 @@ def unpack_bits(value: int, width: int):
     nbytes = (width + 7) // 8
     if value >> (nbytes * 8):
         raise ValueError(f"value {value!r} does not fit in {width} bits")
-    if width <= 16:
-        return _unpack_small(value, width)
     if np is None:
         return tuple((value >> i) & 1 for i in range(width))
     raw = np.frombuffer(value.to_bytes(nbytes, "little"), dtype=np.uint8)
@@ -59,12 +49,66 @@ def unpack_bits(value: int, width: int):
 
 def pack_bits(bits) -> int:
     """Inverse of :func:`unpack_bits`."""
-    if np is None:
-        return sum(int(b) << i for i, b in enumerate(bits))
-    padded = np.zeros(((bits.size + 7) // 8) * 8, dtype=np.uint8)
-    padded[: bits.size] = bits
-    return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(),
-                          "little")
+    return sum(int(b) << i for i, b in enumerate(bits))
+
+
+def bit_weights(
+    pairs: Iterable[Tuple[int, float]], width: int
+) -> Tuple[float, List[float]]:
+    """``(total weight, per-bit weight of the values with that bit set)``.
+
+    Weights are grouped per byte of the value first: one add per
+    non-zero byte of each pair, plus one per set bit of each byte value
+    seen.  Exact for integral weights.
+    """
+    nbytes = (width + 7) // 8
+    tables = [[0.0] * 256 for __ in range(nbytes)]
+    total = 0.0
+    for value, weight in pairs:
+        total += weight
+        for table, byte in zip(tables, value.to_bytes(nbytes, "little")):
+            if byte:
+                table[byte] += weight
+    ones = [0.0] * (8 * nbytes)
+    for index, table in enumerate(tables):
+        for byte, weight in enumerate(table):
+            if not weight:
+                continue
+            while byte:
+                lowest = byte & -byte
+                ones[8 * index + lowest.bit_length() - 1] += weight
+                byte ^= lowest
+    return total, ones[:width]
+
+
+#: Distinct values an entry's histogram may hold before it is folded.
+FOLD_AT = 1024
+
+
+def _fold(held: Dict[int, float], width: int) -> Dict[int, float]:
+    """An equivalent histogram of at most ``width + 1`` values: one-hot
+    values carry the per-bit weights, value 0 the (maybe negative) rest;
+    exact for integral weights, as :func:`bit_weights` is linear."""
+    total, ones = bit_weights(held.items(), width)
+    folded = {1 << bit: weight for bit, weight in enumerate(ones) if weight}
+    folded[0] = total - sum(ones)
+    return folded
+
+
+def worst_of(bias: Iterable[float]) -> float:
+    """Worst imbalance of a bias vector, as max(bias, 1-bias)."""
+    return float(max(max(b, 1.0 - b) for b in bias))
+
+
+def _as_floats(values):
+    return values if np is None else np.asarray(values, dtype=np.float64)
+
+
+def _bias(total: float, ones: Sequence[float]) -> List[float]:
+    """Bias to zero per position; 0.5 where nothing was observed."""
+    if total <= 0.0:
+        return [0.5] * len(ones)
+    return [(total - one) / total for one in ones]
 
 
 class BitBiasAccumulator:
@@ -87,45 +131,28 @@ class BitBiasAccumulator:
             raise ValueError("entries and width must be positive")
         self.entries = entries
         self.width = width
+        self._check_value(initial_value)
         self.initial_value = initial_value
-        if np is None:
-            row = unpack_bits(initial_value, width)
-            self.time_zero = [[0.0] * width for _ in range(entries)]
-            self.time_one = [[0.0] * width for _ in range(entries)]
-            self._bits = [row] * entries
-            self._since = [0.0] * entries
-        else:
-            self.time_zero = np.zeros((entries, width), dtype=np.float64)
-            self.time_one = np.zeros((entries, width), dtype=np.float64)
-            self._bits = np.tile(unpack_bits(initial_value, width),
-                                 (entries, 1))
-            self._since = np.zeros(entries, dtype=np.float64)
+        self.reset()
 
     def reset(self) -> None:
         """Discard all residency history and restart at time zero."""
-        if np is None:
-            row = unpack_bits(self.initial_value, self.width)
-            self.time_zero = [[0.0] * self.width for _ in range(self.entries)]
-            self.time_one = [[0.0] * self.width for _ in range(self.entries)]
-            self._bits = [row] * self.entries
-            self._since = [0.0] * self.entries
-            return
-        self.time_zero.fill(0.0)
-        self.time_one.fill(0.0)
-        self._bits = np.tile(unpack_bits(self.initial_value, self.width),
-                             (self.entries, 1))
-        self._since.fill(0.0)
+        self._value = [self.initial_value] * self.entries
+        self._since = [0.0] * self.entries
+        self._held: List[Dict[int, float]] = [{} for __ in range(self.entries)]
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def set_value(self, entry: int, value: int, now: float) -> None:
         """Record that ``entry`` changes to ``value`` at time ``now``."""
+        if value >> self.width:  # -1 for any negative value, too
+            self._check_value(value)
         self._close(entry, now)
-        self._bits[entry] = unpack_bits(value, self.width)
+        self._value[entry] = value
 
     def current_value(self, entry: int) -> int:
-        return pack_bits(self._bits[entry])
+        return self._value[entry]
 
     def finalize(self, now: float) -> None:
         """Close all open intervals at time ``now`` (end of simulation)."""
@@ -140,19 +167,16 @@ class BitBiasAccumulator:
                 f"{self._since[entry]} -> {now}"
             )
         if duration > 0.0:
-            bits = self._bits[entry]
-            if np is None:
-                one = self.time_one[entry]
-                zero = self.time_zero[entry]
-                for i, bit in enumerate(bits):
-                    if bit:
-                        one[i] += duration
-                    else:
-                        zero[i] += duration
-            else:
-                self.time_one[entry] += duration * bits
-                self.time_zero[entry] += duration * (1 - bits)
+            held = self._held[entry]
+            value = self._value[entry]
+            held[value] = held.get(value, 0.0) + duration
+            if len(held) > FOLD_AT:
+                self._held[entry] = _fold(held, self.width)
         self._since[entry] = now
+
+    def _check_value(self, value: int) -> None:
+        if value < 0 or value >> self.width:
+            raise ValueError(f"value {value!r} does not fit in {self.width} bits")
 
     # ------------------------------------------------------------------
     # Analysis
@@ -164,36 +188,31 @@ class BitBiasAccumulator:
         Positions never exercised report 0.5 (no stress information).
         Returns a float64 array, or a list without numpy.
         """
-        if np is None:
-            zero = [sum(row[j] for row in self.time_zero)
-                    for j in range(self.width)]
-            one = [sum(row[j] for row in self.time_one)
-                   for j in range(self.width)]
-            return [z / (z + o) if z + o > 0.0 else 0.5
-                    for z, o in zip(zero, one)]
-        zero = self.time_zero.sum(axis=0)
-        total = zero + self.time_one.sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            bias = np.where(total > 0.0, zero / np.maximum(total, 1e-300), 0.5)
-        return bias
+        pairs = (item for held in self._held for item in held.items())
+        return _as_floats(_bias(*bit_weights(pairs, self.width)))
 
     def cell_bias_to_zero(self):
         """Per-cell (entries x width) bias towards "0"."""
-        if np is None:
-            return [
-                [z / (z + o) if z + o > 0.0 else 0.5
-                 for z, o in zip(zrow, orow)]
-                for zrow, orow in zip(self.time_zero, self.time_one)
-            ]
-        total = self.time_zero + self.time_one
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(total > 0.0,
-                            self.time_zero / np.maximum(total, 1e-300), 0.5)
+        return _as_floats([
+            _bias(*bit_weights(held.items(), self.width))
+            for held in self._held
+        ])
+
+    @property
+    def time_zero(self):
+        """Per-cell (entries x width) closed time holding "0"."""
+        cells = (bit_weights(held.items(), self.width) for held in self._held)
+        return _as_floats([[total - one for one in ones] for total, ones in cells])
+
+    @property
+    def time_one(self):
+        """Per-cell (entries x width) closed time holding "1"."""
+        return _as_floats([bit_weights(held.items(), self.width)[1]
+                           for held in self._held])
 
     def worst_bias(self) -> float:
         """Worst per-bit-position imbalance, as max(bias, 1-bias)."""
-        bias = self.bias_to_zero()
-        return float(max(max(b, 1.0 - b) for b in bias))
+        return worst_of(self.bias_to_zero())
 
     def worst_bit(self) -> Tuple[int, float]:
         """(bit position, bias) of the most imbalanced aggregated bit."""
@@ -206,10 +225,9 @@ class BitBiasAccumulator:
         return best_index, float(bias[best_index])
 
     def total_observed_time(self) -> float:
-        if np is None:
-            return (sum(map(sum, self.time_zero))
-                    + sum(map(sum, self.time_one)))
-        return float(self.time_zero.sum() + self.time_one.sum())
+        """Sum of every cell's closed residency time."""
+        return float(sum(sum(held.values()) for held in self._held)
+                     * self.width)
 
     # ------------------------------------------------------------------
     # Telemetry (MetricSource)
@@ -217,7 +235,7 @@ class BitBiasAccumulator:
     def metrics(self) -> MetricSet:
         """Live metric tree over the residency accounting.
 
-        Bias reads aggregate only *closed* intervals (the matrices);
+        Bias reads aggregate only *closed* intervals (the histograms);
         intervals still open at snapshot time contribute after the next
         value change or :meth:`finalize` — reading never mutates.
         """

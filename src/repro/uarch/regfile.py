@@ -30,13 +30,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics import MetricSet
-from repro.uarch.bitbias import BitBiasAccumulator
+from repro.uarch.bitbias import BitBiasAccumulator, worst_of
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,7 @@ class RegisterFileStats:
     discarded_special_writes: int
     free_fraction: float
     port_free_fraction: float
-    bias_to_zero: "np.ndarray"
+    bias_to_zero: Sequence[float]
     worst_bias: float
 
     @property
@@ -211,6 +208,7 @@ class RegisterFile:
             self._port_free_hits / self._port_checks
             if self._port_checks else 1.0
         )
+        bias = self.bias.bias_to_zero()
         return RegisterFileStats(
             entries=self.entries,
             width=self.width,
@@ -220,8 +218,8 @@ class RegisterFile:
             discarded_special_writes=self._discarded_special,
             free_fraction=free_fraction,
             port_free_fraction=port_free,
-            bias_to_zero=self.bias.bias_to_zero(),
-            worst_bias=self.bias.worst_bias(),
+            bias_to_zero=bias,
+            worst_bias=worst_of(bias),
         )
 
     # ------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Each of the (by default 32) scheduler slots stores one uop as the field
 bundle of Table 2 of the paper.  Internally a slot is one flattened
 144-bit row of a single :class:`~repro.uarch.bitbias.BitBiasAccumulator`
-(per-field accumulators would cost ~18x more numpy round-trips per
-dispatch); field views are recovered by slicing with the layout offsets.
+(one value-histogram add per write, instead of one per field); field
+views are recovered by slicing with the layout offsets.
 Conceptually each field still behaves as "an independent structure"
 (Section 3.2.2): mechanisms address fields by name and the statistics
 report per-field bias.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:
     import numpy as np
@@ -27,7 +27,7 @@ except ImportError:  # pragma: no cover - exercised on the no-numpy leg
     np = None  # type: ignore[assignment]
 
 from repro.metrics import MetricSet
-from repro.uarch.bitbias import BitBiasAccumulator
+from repro.uarch.bitbias import BitBiasAccumulator, worst_of
 from repro.uarch.uop import SCHEDULER_LAYOUT, SchedulerLayout, Uop
 
 
@@ -40,7 +40,7 @@ class SchedulerStats:
     allocations: int
     occupancy: float
     port_free_fraction: float
-    field_bias: Dict[str, "np.ndarray"]
+    field_bias: Dict[str, Sequence[float]]
     special_writes: int
     discarded_special_writes: int
 
@@ -61,14 +61,13 @@ class SchedulerStats:
         return np.concatenate(parts)
 
     def worst_bias(self, include_opcode: bool = False) -> float:
-        bias = self.flattened_bias(include_opcode)
-        return float(max(max(b, 1.0 - b) for b in bias))
+        return worst_of(self.flattened_bias(include_opcode))
 
     def worst_field(self) -> Tuple[str, float]:
         """(field, worst bias) of the most imbalanced protected field."""
         worst_name, worst_value = "", 0.0
         for name, bias in self.field_bias.items():
-            imbalance = float(max(max(b, 1.0 - b) for b in bias))
+            imbalance = worst_of(bias)
             if imbalance > worst_value:
                 worst_name, worst_value = name, imbalance
         return worst_name, worst_value

@@ -1,5 +1,7 @@
 """Unit tests for gates, netlists and the aging simulator."""
 
+import random
+
 import pytest
 
 from repro.circuits.aging import AgingSimulator
@@ -110,6 +112,28 @@ class TestCircuit:
         assert converted == 1
         driver = builder.circuit.driver_of("hub")
         assert driver.width_class is WidthClass.WIDE
+
+    def test_fanout_tracks_add_gate_and_resize(self):
+        builder = CircuitBuilder()
+        a, b = builder.input("a"), builder.input("b")
+        hub = builder.nand2(a, b, name="hub")
+        builder.inv(hub)
+        circuit = builder.circuit
+        assert circuit.fanout("hub") == 1
+        circuit.add_gate(Gate("g_extra", GateKind.NAND2, (hub, hub), "z"))
+        assert circuit.fanout("hub") == 3
+        assert circuit.fanout("z") == 0
+        circuit.resize_gates(["g_extra"], WidthClass.WIDE)
+        assert circuit.fanout("hub") == 3
+        assert circuit.fanout(a) == circuit.fanout(b) == 1
+        circuit.add_gate(Gate("g_more", GateKind.INV, ("z",), "w"))
+        assert circuit.fanout("z") == 1
+
+    def test_fanout_equals_pin_count_on_adder(self, adder32):
+        circuit = adder32.circuit
+        for node in circuit.nodes:
+            assert circuit.fanout(node) == sum(
+                gate.inputs.count(node) for gate in circuit.gates)
 
     def test_resize_gates_counts_changes(self):
         builder = CircuitBuilder()
@@ -241,3 +265,67 @@ class TestAgingSimulator:
         sim.apply_weighted([({"a": 0}, 1.0), ({"a": 1}, 3.0)])
         pmos = circuit.pmos_transistors()[0]
         assert sim.pmos_duty(pmos) == pytest.approx(0.25)
+
+
+def _operand_vectors(adder, count, seed=3):
+    rng = random.Random(seed)
+    mask = (1 << adder.width) - 1
+    operands = [(0, 0, 0), (mask, mask, 1)] + [
+        (rng.getrandbits(adder.width), rng.getrandbits(adder.width),
+         rng.getrandbits(1)) for __ in range(count - 2)]
+    return [adder.input_vector(*operand) for operand in operands]
+
+
+class TestBitParallel:
+    """Lane evaluation and batch aging against per-vector evaluation."""
+
+    def test_lanes_equal_per_vector_evaluate(self, adder32):
+        circuit = adder32.circuit
+        vectors = _operand_vectors(adder32, 70)
+        words = circuit.evaluate_lanes(vectors)
+        per_vector = [circuit.evaluate(vector) for vector in vectors]
+        assert list(words) == list(per_vector[0])
+        for node, word in words.items():
+            assert word == sum(values[node] << lane
+                               for lane, values in enumerate(per_vector))
+
+    def test_lane_checks_match_evaluate(self, adder8):
+        circuit = adder8.circuit
+        good = adder8.input_vector(1, 2, 0)
+        missing = dict(good)
+        del missing[adder8.cin_pin]
+        with pytest.raises(ValueError, match="missing values"):
+            circuit.evaluate_lanes([good, missing])
+        bad = dict(good, **{adder8.cin_pin: 2})
+        with pytest.raises(ValueError, match="must be 0/1"):
+            circuit.evaluate_lanes([good, bad])
+
+    @pytest.mark.parametrize("weight", [0.3 / 256, 1.0, 0.1])
+    def test_batch_apply_equals_per_vector_apply(self, adder32, weight):
+        vectors = _operand_vectors(adder32, 258)
+        batch = AgingSimulator(adder32.circuit)
+        single = AgingSimulator(adder32.circuit)
+        # A second batch lands on accumulated (non-zero) times.
+        for chunk in (vectors[:256], vectors[256:], vectors[:5]):
+            batch.apply_sequence(chunk, weight)
+            for vector in chunk:
+                single.apply(vector, weight)
+        single.apply(vectors[0], 0.7)
+        batch.apply(vectors[0], 0.7)
+        assert list(batch.ledger.nodes()) == list(single.ledger.nodes())
+        assert batch.ledger._nodes == single.ledger._nodes
+        assert batch.elapsed == single.elapsed
+        assert batch.report() == single.report()
+
+    def test_batch_apply_edge_cases(self):
+        builder = CircuitBuilder()
+        builder.mark_output(builder.inv(builder.input("a"), name="y"))
+        sim = AgingSimulator(builder.circuit)
+        sim.apply_sequence([], -1.0)
+        sim.apply_sequence([{"a": 0}], 0.0)
+        assert sim.elapsed == 0.0 and len(sim.ledger) == 0
+        with pytest.raises(ValueError):
+            sim.apply_sequence([{"a": 0}], -1.0)
+        with pytest.raises(ValueError):
+            sim.apply_sequence([{"a": 0}, {}], 1.0)
+        assert len(sim.ledger) == 0

@@ -3,17 +3,20 @@ protector."""
 
 import pytest
 
+import random
+
 from repro.core.memory_like import (
     ISVRegisterFileProtector,
+    K_PHASE_STEPS,
     PAPER_SCHEDULER_POLICY,
     RINVRegister,
     SchedulerProfiler,
     SchedulerProtector,
     derive_scheduler_policy,
 )
-from repro.core.policy import Technique
+from repro.core.policy import BitDirective, Technique, repair_bit
 from repro.uarch import TraceDrivenCore
-from repro.uarch.core import CompositeHooks
+from repro.uarch.core import CompositeHooks, CoreHooks
 from repro.uarch.uop import INT_WIDTH, SCHEDULER_LAYOUT
 from repro.workloads import TraceGenerator
 
@@ -164,3 +167,132 @@ class TestDerivedPolicy:
     def test_profiler_requires_fills(self):
         with pytest.raises(ValueError):
             SchedulerProfiler().busy_bias_to_zero()
+
+
+# ----------------------------------------------------------------------
+# Word-level repair and profiling against the per-bit definitions
+# ----------------------------------------------------------------------
+def per_bit_repair_values(policy, rinv, phase_counter):
+    """The per-bit definition of a release's repair values: every bit
+    through :func:`repair_bit`, ISV bits from the (un-inverted) RINV."""
+    phase = (phase_counter % K_PHASE_STEPS) / K_PHASE_STEPS
+    values = {}
+    for fieldname, directives in policy.items():
+        register = rinv.get(fieldname)
+        composed, any_bit = 0, False
+        for bit_index, directive in enumerate(directives):
+            sampled_bit = None
+            if register is not None:
+                sampled_bit = 1 - ((register.value >> bit_index) & 1)
+            bit = repair_bit(directive, phase, sampled_bit)
+            if bit is None:
+                continue
+            any_bit = True
+            composed |= bit << bit_index
+        if any_bit:
+            values[fieldname] = composed
+    return values
+
+
+class RecordingScheduler:
+    """Stands in for the scheduler: records every repair write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write_special(self, slot, values, now):
+        self.writes.append(list(values.items()))
+        return len(self.writes) % 3 != 0  # some writes find no port
+
+
+def _synthetic_policy():
+    d = BitDirective
+    return {
+        # ISV without a RINV: every bit is None, so the field is omitted.
+        "latency": [d(Technique.ISV)] * SCHEDULER_LAYOUT.latency,
+        # None and non-None bits mixed; None bits write 0.
+        "flags": [d(Technique.ALL1), d(Technique.SELF_BALANCED),
+                  d(Technique.ISV), d(Technique.ALL0_K, 0.3),
+                  d(Technique.ALL1_K, 0.05), d(Technique.UNPROTECTED)],
+        "src1_data": [d(Technique.ISV), d(Technique.ALL1_K, 0.45),
+                      d(Technique.UNPROTECTED), d(Technique.ALL0)]
+                     + [d(Technique.ISV)] * (SCHEDULER_LAYOUT.src1_data - 4),
+        "immediate": [d(Technique.SELF_BALANCED), d(Technique.ISV)]
+                     * (SCHEDULER_LAYOUT.immediate // 2),
+        "tos": [d(Technique.SELF_BALANCED)] * SCHEDULER_LAYOUT.tos,
+        "ready1": [d(Technique.ALL0_K, 0.95)],
+        "valid": [d(Technique.UNPROTECTED)],
+    }
+
+
+def _derived_policy():
+    trace = TraceGenerator(seed=4).generate("office", length=1500)
+    profiler = SchedulerProfiler()
+    result = TraceDrivenCore(hooks=profiler).run(trace)
+    return derive_scheduler_policy(profiler, result.scheduler.occupancy)
+
+
+class TestRepairWords:
+    @pytest.mark.parametrize("make_policy", [
+        lambda: PAPER_SCHEDULER_POLICY, _derived_policy, _synthetic_policy,
+    ], ids=["paper", "derived", "synthetic"])
+    def test_equals_per_bit_repair_over_every_phase(self, make_policy):
+        policy = make_policy()
+        protector = SchedulerProtector(policy)
+        sched = RecordingScheduler()
+        rng = random.Random(5)
+        expected = []
+        for release in range(3 * K_PHASE_STEPS + 7):
+            if release % 4 == 0:  # fresh RINV samples now and then
+                for register in protector.rinv.values():
+                    register.update_from_sample(
+                        rng.getrandbits(register.width))
+            expected.append(list(per_bit_repair_values(
+                policy, protector.rinv, release).items()))
+            protector.on_scheduler_release(sched, 0, float(release))
+        assert sched.writes == expected
+        assert protector.updates_written + protector.updates_skipped == (
+            len(expected))
+
+    def test_policy_without_repairs_writes_nothing(self):
+        policy = {"tos": [BitDirective(Technique.SELF_BALANCED)]
+                  * SCHEDULER_LAYOUT.tos}
+        protector = SchedulerProtector(policy)
+        sched = RecordingScheduler()
+        protector.on_scheduler_release(sched, 0, 1.0)
+        assert sched.writes == []
+        assert protector.updates_written == protector.updates_skipped == 0
+
+
+class PerBitProfiler(CoreHooks):
+    """The per-bit definition of the profiler's busy-time counts."""
+
+    def __init__(self):
+        fields = SCHEDULER_LAYOUT.fields()
+        self.ones = {name: [0] * width for name, width in fields.items()}
+        self.fills = {name: 0 for name in fields}
+
+    def on_scheduler_fill(self, sched, slot, uop, now):
+        mob_id = 0 if uop.uop_class.is_memory else None
+        values = sched.field_values(uop, mob_id=mob_id)
+        for name, counts in self.ones.items():
+            if name not in values:
+                continue
+            self.fills[name] += 1
+            for bit_index in range(len(counts)):
+                counts[bit_index] += (values[name] >> bit_index) & 1
+
+    def busy_bias_to_zero(self):
+        return {name: [1.0 - ones / max(1, self.fills[name])
+                       for ones in counts]
+                for name, counts in self.ones.items()}
+
+
+class TestProfilerHistogram:
+    @pytest.mark.parametrize("suite", ["specint2000", "specfp2000"])
+    def test_equals_per_bit_counts(self, suite):
+        trace = TraceGenerator(seed=2).generate(suite, length=1500)
+        profiler, reference = SchedulerProfiler(), PerBitProfiler()
+        TraceDrivenCore(hooks=CompositeHooks([profiler, reference])).run(
+            trace)
+        assert profiler.busy_bias_to_zero() == reference.busy_bias_to_zero()
