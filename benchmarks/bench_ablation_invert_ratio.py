@@ -13,10 +13,10 @@ import pytest
 
 from repro.analysis import format_table
 from repro.experiments import (
-    SweepRunner,
     SweepSpec,
     aggregate_metric,
     group_results,
+    run_sweep,
 )
 from repro.workloads import suite_names
 
@@ -33,7 +33,7 @@ SPEC = SweepSpec(
 
 
 def sweep():
-    outcome = SweepRunner(store=None, workers=1).run(SPEC)
+    outcome = run_sweep(SPEC)
     rows = []
     losses = []
     data = {}

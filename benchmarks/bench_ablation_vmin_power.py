@@ -15,7 +15,7 @@ data point is one ``caches`` study point.
 import pytest
 
 from repro.analysis import format_table
-from repro.experiments import SweepRunner, SweepSpec
+from repro.experiments import SweepSpec, run_sweep
 
 from conftest import SMOKE, scaled
 
@@ -37,9 +37,8 @@ WAY_SPEC = SweepSpec(
 
 
 def sweep():
-    runner = SweepRunner(store=None, workers=1)
-    power = runner.run(POWER_SPEC).results
-    way = runner.run(WAY_SPEC).results[0]
+    power = run_sweep(POWER_SPEC).results
+    way = run_sweep(WAY_SPEC).results[0]
     return power, way
 
 

@@ -514,18 +514,19 @@ def run_store_perf():
     studies = ["office", "kernels", "media", "mixed"]
     with tempfile.TemporaryDirectory() as tmp:
         flat_path = os.path.join(tmp, "store.jsonl")
+        with open(flat_path, "w", encoding="utf-8") as handle:
+            for i in range(n):
+                study = studies[i % len(studies)]
+                params = {"i": i, "ratio": (i % 10) / 10.0}
+                handle.write(StoredResult(
+                    key=point_key(study, params),
+                    study=study,
+                    params=params,
+                    metrics={"ipc": 1.0 + (i % 7) * 0.01},
+                    elapsed=0.001,
+                    created=float(i),
+                ).to_json() + "\n")
         flat = ResultStore(flat_path)
-        for i in range(n):
-            study = studies[i % len(studies)]
-            params = {"i": i, "ratio": (i % 10) / 10.0}
-            flat.put_record(StoredResult(
-                key=point_key(study, params),
-                study=study,
-                params=params,
-                metrics={"ipc": 1.0 + (i % 7) * 0.01},
-                elapsed=0.001,
-                created=float(i),
-            ))
         probe = flat.records("office")[len(flat.records("office")) // 2].key
         flat_bytes = os.path.getsize(flat_path)
 

@@ -367,19 +367,17 @@ def run_study(spec: StudySpec, *, store=None, workers: Optional[int] = None,
     bit-identical to pre-metrics releases) and ``result.metric_tree``
     is the typed :class:`~repro.metrics.stats.MetricSet` (Ratio /
     Derived stats intact on fresh executions, value-typed on cache
-    hits).  ``store=None`` disables result caching (pass a
-    :class:`~repro.experiments.store.ResultStore` to enable it);
-    ``workers`` defaults to ``spec.workers``.
+    hits).  ``store`` is a store directory (or an open
+    :class:`~repro.fabric.store.ShardedResultStore`); ``None`` disables
+    result caching.  ``workers`` defaults to ``spec.workers``.
     """
-    from repro.experiments import SweepRunner
+    from repro.experiments import run_sweep
 
-    sweep = study_sweep_spec(spec)
-    runner = SweepRunner(
-        store=store,
+    return run_sweep(
+        study_sweep_spec(spec), store=store,
         workers=workers if workers is not None else spec.workers,
         progress=progress,
     )
-    return runner.run(sweep)
 
 
 def default_study_spec(study_name: str) -> StudySpec:

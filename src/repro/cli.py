@@ -205,27 +205,42 @@ def cmd_list_suites(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fabric_store_dir(path: Optional[str]) -> str:
-    """Sharded-store directory: ``--store`` or the default fabric dir."""
-    from repro.experiments import default_store_path
+def _store_dir(path: Optional[str]) -> str:
+    """Store directory: ``--store`` or the default one."""
+    from repro.experiments import default_store_dir
 
-    if path:
-        return path
-    return os.path.join(os.path.dirname(default_store_path()), "fabric")
+    return path or default_store_dir()
 
 
-def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
+def _sweep_store_dir(path: Optional[str]) -> str:
+    """The store directory a sweep runs into.
+
+    A regular file (such as a legacy flat ``store.jsonl``) is refused
+    rather than opened as a directory or written into.
+    """
+    directory = _store_dir(path)
+    if os.path.isfile(directory):
+        raise ValueError(
+            f"--store {directory!r} is a file, not a store directory; "
+            f"import a flat JSONL store with `repro store migrate "
+            f"{directory} DIR` and pass --store DIR")
+    return directory
+
+
+def _run_sweep_and_report(spec, *, workers, store_dir, verbose, group_by,
                           metrics_arg, agg, intro, title,
                           progress_mode=None, quiet=False,
-                          trace=False, fabric=False, resume=None,
+                          trace=False, resume=None,
                           batch_size=None, lease_ttl=5.0) -> int:
     """Execute an expanded sweep and print plan, progress, summary,
-    and footer — shared by ``sweep`` and ``run``."""
-    from repro.experiments import (
-        SweepRunner,
-        default_store_path,
-        format_summary,
-    )
+    and footer — shared by ``sweep``, ``sweep --resume`` and ``run``.
+
+    ``store_dir=None`` is ``--no-store``: a scratch store, removed
+    after the run."""
+    from repro.experiments import default_store_dir, format_summary
+    from repro.experiments.runner import EVENTS_NAME
+    from repro.fabric.runner import FabricRunner
+    from repro.obs.log import EventLog
     from repro.obs.progress import SweepProgress
 
     # --quiet beats everything; otherwise an explicit --progress mode
@@ -233,12 +248,11 @@ def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
     mode = ("none" if quiet
             else progress_mode or ("line" if verbose else "none"))
     progress = SweepProgress(spec.size, mode=mode)
-    # Trace artefacts land next to the store (the run's natural output
-    # directory), or next to the default store for --no-store runs.
-    # `is not None`, not truthiness: an empty ResultStore is falsy
-    # (it has __len__), but its path is still where artefacts belong.
-    obs_dir = os.path.dirname(
-        store.path if store is not None else default_store_path()) or "."
+    # The event log, manifests and trace files land beside the store
+    # directory (next to the default one for --no-store runs), so a
+    # sweep that only reads the store writes nothing into it.
+    obs_dir = os.path.dirname(os.path.abspath(
+        store_dir if store_dir is not None else default_store_dir()))
     trace_json = os.path.join(obs_dir, "trace.json")
     spans_path = os.path.join(obs_dir, "spans.jsonl")
     if trace:
@@ -247,30 +261,25 @@ def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
         TRACER.enable()
     human = not quiet and mode != "json"
 
-    if fabric:
-        from repro.fabric.runner import FabricRunner
-
-        # CLI fabric sweeps always spawn worker processes: the whole
-        # point is that any single worker can die without taking the
-        # run's progress with it.
-        runner = FabricRunner(
-            store, workers=workers, batch_size=batch_size,
-            lease_ttl=lease_ttl, progress=progress.update,
-            spawn_workers=True,
-        )
-    else:
-        runner = SweepRunner(store=store, workers=workers,
-                             progress=progress.update,
-                             trace_path=trace_json if trace else None)
+    runner = FabricRunner(
+        store_dir, workers=workers, batch_size=batch_size,
+        lease_ttl=lease_ttl, progress=progress.update,
+        log=(EventLog(path=os.path.join(obs_dir, EVENTS_NAME))
+             if store_dir is not None else None),
+        trace_path=trace_json if trace else None,
+    )
     progress.begin(
         run_id=resume if resume is not None else runner.run_id,
-        store=store.path if store is not None else None)
+        store=runner.store.directory if store_dir is not None else None)
     if human:
         print(f"{intro}: {spec.size} points over axes "
               f"{', '.join(spec.axis_names())} ({workers} worker"
               f"{'s' if workers != 1 else ''})")
-    outcome = (runner.resume(resume) if resume is not None
-               else runner.run(spec))
+    try:
+        outcome = (runner.resume(resume) if resume is not None
+                   else runner.run(spec))
+    finally:
+        runner.close()
 
     if trace:
         from repro.obs.trace import (
@@ -321,7 +330,7 @@ def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
     print(f"{len(outcome)} points in {outcome.wall_time:.2f}s: "
           f"{outcome.cache_hits} cache hits, "
           f"{outcome.executed} executed"
-          + ("" if store is not None else " (store disabled)"))
+          + ("" if store_dir is not None else " (store disabled)"))
     slowest = outcome.slowest()
     if slowest is not None:
         print(f"slowest point: {slowest.point.describe()} "
@@ -332,7 +341,6 @@ def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments import (
         PointExecutionError,
-        ResultStore,
         SweepSpec,
         get_study,
         parse_grid_option,
@@ -410,21 +418,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"available: {', '.join(sorted(known_params))}"
             )
 
-        if args.fabric:
-            if args.no_store:
-                raise ValueError(
-                    "--fabric needs the result store (it IS the "
-                    "store); drop --no-store"
-                )
-            from repro.fabric.store import ShardedResultStore
-
-            store = ShardedResultStore(_fabric_store_dir(args.store))
-        else:
-            store = None if args.no_store else ResultStore(args.store)
         return _run_sweep_and_report(
             spec,
             workers=args.workers,
-            store=store,
+            store_dir=(None if args.no_store
+                       else _sweep_store_dir(args.store)),
             verbose=args.verbose,
             group_by=group_by,
             metrics_arg=args.metrics,
@@ -434,7 +432,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             progress_mode=args.progress,
             quiet=args.quiet,
             trace=args.trace,
-            fabric=args.fabric,
             batch_size=args.batch_size,
             lease_ttl=args.lease_ttl,
         )
@@ -457,10 +454,9 @@ def _cmd_sweep_resume(args: argparse.Namespace) -> int:
     from repro.experiments import PointExecutionError, get_study
     from repro.fabric.journal import load_journal
     from repro.fabric.runner import FabricIncompleteError
-    from repro.fabric.store import ShardedResultStore
 
-    directory = _fabric_store_dir(args.store)
     try:
+        directory = _sweep_store_dir(args.store)
         journal = load_journal(directory, args.resume)
         study = get_study(journal.study)
         spec = journal.spec()
@@ -469,11 +465,10 @@ def _cmd_sweep_resume(args: argparse.Namespace) -> int:
                 f"--resume {args.resume} was planned for study "
                 f"{journal.study!r}, not {args.study!r}"
             )
-        store = ShardedResultStore(directory)
         return _run_sweep_and_report(
             spec,
             workers=args.workers,
-            store=store,
+            store_dir=directory,
             verbose=args.verbose,
             group_by=spec.axis_names(),
             metrics_arg=args.metrics,
@@ -484,7 +479,6 @@ def _cmd_sweep_resume(args: argparse.Namespace) -> int:
             progress_mode=args.progress,
             quiet=args.quiet,
             trace=args.trace,
-            fabric=True,
             resume=args.resume,
             batch_size=args.batch_size,
             lease_ttl=args.lease_ttl,
@@ -503,11 +497,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     """Run a serialized StudySpec (JSON) through the experiment engine."""
     from repro import api
     from repro.config import SpecError
-    from repro.experiments import (
-        PointExecutionError,
-        ResultStore,
-        get_study,
-    )
+    from repro.experiments import PointExecutionError, get_study
+    from repro.fabric.runner import FabricIncompleteError
 
     try:
         spec = api.load_study_spec(args.config)
@@ -521,11 +512,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         study = get_study(spec.study)
         sweep = api.study_sweep_spec(spec)
-        store = None if args.no_store else ResultStore(args.store)
         return _run_sweep_and_report(
             sweep,
             workers=args.workers if args.workers else spec.workers,
-            store=store,
+            store_dir=(None if args.no_store
+                       else _sweep_store_dir(args.store)),
             verbose=args.verbose,
             group_by=sweep.axis_names(),
             metrics_arg=args.metrics,
@@ -536,17 +527,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             quiet=args.quiet,
             trace=args.trace,
         )
+    except FabricIncompleteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (SpecError, ValueError, KeyError,
             PointExecutionError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-
-
-def _default_obs_dir() -> str:
-    from repro.experiments import default_store_path
-
-    return os.path.dirname(default_store_path()) or "."
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -566,7 +554,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                   "run.trace.json", file=sys.stderr)
             return 2
         spans_path = args.spans or os.path.join(
-            _default_obs_dir(), "spans.jsonl")
+            os.path.dirname(_store_dir(None)), "spans.jsonl")
         try:
             records = load_spans(spans_path)
         except OSError as exc:
@@ -589,7 +577,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.log import read_events, render_event
 
     events_path = args.events or os.path.join(
-        _default_obs_dir(), "events.jsonl")
+        os.path.dirname(_store_dir(None)), "events.jsonl")
     if getattr(args, "follow", False):
         # Follow mode tails forever (the file may not exist *yet* —
         # e.g. watching a directory a sweep is about to write into),
@@ -631,7 +619,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     token = args.token
     if token is None and args.token_env:
         token = os.environ.get(args.token_env) or None
-    directory = _fabric_store_dir(args.store)
+    directory = _store_dir(args.store)
     service = SweepService(
         directory,
         host=args.host,
@@ -639,7 +627,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         token=token,
         max_jobs=args.max_jobs,
         default_workers=args.workers,
-        default_fabric=args.fabric,
         drain_grace=args.drain_grace,
         ready_file=args.ready_file,
         quiet=args.quiet,
@@ -650,11 +637,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 0
 
 
-def _print_provenance(store_path: str) -> None:
-    """One-line manifest header over stored results, when one exists.
+def _print_provenance(store) -> None:
+    """One-line header from the manifest beside the store, if any.
 
-    Best-effort on purpose: a missing or corrupt manifest must never
-    block listing the results themselves.
+    Sweeps publish ``manifest.json`` next to the store directory (or
+    the flat store file).  Best-effort on purpose: a missing or corrupt
+    manifest must never block listing the results themselves.
     """
     from repro.obs.provenance import (
         describe_manifest,
@@ -662,7 +650,7 @@ def _print_provenance(store_path: str) -> None:
         manifest_path_for,
     )
 
-    path = manifest_path_for(store_path)
+    path = manifest_path_for(getattr(store, "directory", store.path))
     if not os.path.exists(path):
         return
     try:
@@ -784,16 +772,15 @@ def cmd_report(args: argparse.Namespace) -> int:
         format_summary,
         metric_names,
     )
-    from repro.experiments import default_store_path
     from repro.fabric import open_result_store
 
-    store = open_result_store(args.store or default_store_path())
+    store = open_result_store(_store_dir(args.store))
     records = store.records(study=args.study)
     if not records:
         print(f"no stored results for study {args.study!r} in "
               f"{store.path}", file=sys.stderr)
         return 1
-    _print_provenance(store.path)
+    _print_provenance(store)
     results = [
         PointResult(
             point=ExperimentPoint.from_dict(record.study, record.params),
@@ -842,17 +829,16 @@ def _varying_params(results) -> List[str]:
 
 
 def cmd_results(args: argparse.Namespace) -> int:
-    from repro.experiments import default_store_path
     from repro.fabric import open_result_store
 
-    store = open_result_store(args.store or default_store_path())
+    store = open_result_store(_store_dir(args.store))
     records = store.records(study=args.study)
     if args.limit > 0:
         records = records[-args.limit:]
     if not records:
         print(f"no stored results in {store.path}")
         return 0
-    _print_provenance(store.path)
+    _print_provenance(store)
     rows = []
     for record in records:
         metrics = ", ".join(
@@ -907,7 +893,7 @@ def cmd_store_info(args: argparse.Namespace) -> int:
     """Describe a sharded store: counts, layout, known runs."""
     from repro.fabric import ShardedResultStore, list_runs
 
-    directory = _fabric_store_dir(args.store)
+    directory = _store_dir(args.store)
     try:
         store = ShardedResultStore(directory)
     except (OSError, ValueError) as exc:
@@ -935,7 +921,7 @@ def cmd_store_compact(args: argparse.Namespace) -> int:
     """Rewrite shards keeping only the live record per key."""
     from repro.fabric import ShardedResultStore
 
-    directory = _fabric_store_dir(args.store)
+    directory = _store_dir(args.store)
     try:
         store = ShardedResultStore(directory)
     except (OSError, ValueError) as exc:
@@ -1053,9 +1039,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--workers", type=int, default=1,
                        help="process count (1 = serial)")
-    sweep.add_argument("--store", default=None, metavar="PATH",
-                       help="result store path (default: "
-                            "benchmarks/results/store.jsonl)")
+    sweep.add_argument("--store", default=None, metavar="DIR",
+                       help="result store directory; the event log, "
+                            "manifests and trace land beside it "
+                            "(default: benchmarks/results/fabric)")
     sweep.add_argument("--no-store", action="store_true",
                        help="disable the result cache for this sweep")
     sweep.add_argument("--group-by", default=None, metavar="K1,K2",
@@ -1067,22 +1054,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--verbose", action="store_true",
                        help="print one progress line per point")
     sweep.add_argument(
-        "--fabric", action="store_true",
-        help="run through the resumable sweep fabric: sharded indexed "
-             "store, journaled plan, lease-based worker processes "
-             "(--store names the store DIRECTORY; default: "
-             "benchmarks/results/fabric)")
-    sweep.add_argument(
         "--resume", default=None, metavar="RUN_ID",
-        help="resume an interrupted fabric run from its journal "
-             "(re-executes only unfinished batches; implies --fabric)")
+        help="resume an interrupted run from its journal "
+             "(re-executes only unfinished batches)")
     sweep.add_argument("--batch-size", type=int, default=None,
                        metavar="N",
-                       help="points per fabric lease batch (default: "
+                       help="points per lease batch (default: "
                             "~4 batches per worker)")
     sweep.add_argument("--lease-ttl", type=float, default=5.0,
                        metavar="SECONDS",
-                       help="fabric lease TTL before an unheartbeated "
+                       help="lease TTL before an unrenewed "
                             "batch can be stolen (default: 5)")
     _add_observability_arguments(sweep)
     sweep.set_defaults(func=cmd_sweep)
@@ -1099,9 +1080,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=0,
                      help="process count (default: the spec's "
                           "`workers` field)")
-    run.add_argument("--store", default=None, metavar="PATH",
-                     help="result store path (default: "
-                          "benchmarks/results/store.jsonl)")
+    run.add_argument("--store", default=None, metavar="DIR",
+                     help="result store directory (default: "
+                          "benchmarks/results/fabric)")
     run.add_argument("--no-store", action="store_true",
                      help="disable the result cache for this run")
     run.add_argument("--metrics", default=None, metavar="M1,M2",
@@ -1181,7 +1162,10 @@ def build_parser() -> argparse.ArgumentParser:
         "results", help="list cached sweep results")
     results.add_argument("--study", default=None,
                          help="only this study's records")
-    results.add_argument("--store", default=None, metavar="PATH")
+    results.add_argument("--store", default=None, metavar="PATH",
+                         help="result store directory, or a flat JSONL "
+                              "store file (default: "
+                              "benchmarks/results/fabric)")
     results.add_argument("--limit", type=int, default=0,
                          help="show only the newest N records")
     results.set_defaults(func=cmd_results)
@@ -1197,8 +1181,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--study", default=None,
                         help="render this study's stored records")
     report.add_argument("--store", default=None, metavar="PATH",
-                        help="result store path (default: "
-                             "benchmarks/results/store.jsonl)")
+                        help="result store directory, or a flat JSONL "
+                             "store file (default: "
+                             "benchmarks/results/fabric)")
     report.add_argument("--group-by", default=None, metavar="K1,K2",
                         help="grouping axes (default: every parameter "
                              "that varies across the records)")
@@ -1250,7 +1235,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port; 0 picks an ephemeral port "
                             "(default: 8765)")
     serve.add_argument("--store", default=None, metavar="DIR",
-                       help="sharded store directory (default: "
+                       help="result store directory (default: "
                             "benchmarks/results/fabric)")
     serve.add_argument("--workers", type=int, default=1,
                        help="default workers per job (default: 1)")
@@ -1265,9 +1250,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="read the bearer token from this "
                             "environment variable when --token is "
                             "not given (default: REPRO_SERVICE_TOKEN)")
-    serve.add_argument("--fabric", action="store_true",
-                       help="run jobs under the fabric runner by "
-                            "default (journaled, resumable)")
     serve.add_argument("--drain-grace", type=float, default=30.0,
                        dest="drain_grace", metavar="SECONDS",
                        help="how long SIGTERM waits for running jobs "

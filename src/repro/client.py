@@ -105,7 +105,7 @@ class ServiceClient:
     def healthz(self) -> Dict[str, Any]:
         return self._request("GET", "/v1/healthz")
 
-    def submit(self, spec: Any, fabric: Optional[bool] = None,
+    def submit(self, spec: Any,
                workers: Optional[int] = None) -> Dict[str, Any]:
         """Submit a spec; returns the job status (``job`` is the id).
 
@@ -114,8 +114,6 @@ class ServiceClient:
         it — no new execution.
         """
         body: Dict[str, Any] = {"spec": _spec_payload(spec)}
-        if fabric is not None:
-            body["fabric"] = bool(fabric)
         if workers is not None:
             body["workers"] = int(workers)
         return self._request("POST", "/v1/jobs", body)

@@ -19,21 +19,20 @@ to live in ``cli.py``, ``benchmarks/bench_ablation_*.py`` and
   the legacy flat metric dict (bit-identical — store rows and point
   hashes are unchanged).  Workloads are memoised per worker so points
   sharing a trace only generate it once.
-- :mod:`repro.experiments.runner` — :class:`SweepRunner` consults the
-  store, then fans cache misses out over ``multiprocessing`` workers
-  (serial for ``workers=1``); results return in spec order, so
-  parallel and serial sweeps are bit-identical.
-- :mod:`repro.experiments.store` — :class:`ResultStore`, an
-  append-only JSONL cache under ``benchmarks/results/`` keyed by point
-  hash; rerunning an unchanged sweep is pure cache hits.
+- :mod:`repro.experiments.runner` — :func:`run_sweep` runs a spec on
+  the one sweep runner (:class:`~repro.fabric.runner.FabricRunner`):
+  it consults the sharded result store, executes the misses in process
+  (``workers=1``) or on spawned worker processes, and returns results
+  in spec order, so parallel and serial sweeps are bit-identical.
+- :mod:`repro.experiments.store` — :class:`StoredResult` records and
+  :class:`ResultStore`, the read-only flat JSONL format that
+  ``repro store migrate`` imports.
 - :mod:`repro.experiments.summary` — group-by/mean-min-max reduction
   feeding :func:`repro.analysis.format_table`.
 
 Quick start::
 
-    from repro.experiments import (
-        ResultStore, SweepRunner, SweepSpec, format_summary,
-    )
+    from repro.experiments import SweepSpec, format_summary, run_sweep
 
     spec = SweepSpec(
         "caches",
@@ -41,7 +40,8 @@ Quick start::
         grid={"ratio": [0.4, 0.5, 0.6], "ways": [4, 8],
               "suite": ["specint2000", "office"]},
     )
-    outcome = SweepRunner(store=ResultStore(), workers=4).run(spec)
+    outcome = run_sweep(spec, store="benchmarks/results/fabric",
+                        workers=4)
     print(format_summary(outcome.results, group_by=["ratio", "ways"],
                          metrics=["mean_loss", "inverted_ratio"]))
 
@@ -68,7 +68,6 @@ from repro.experiments.runner import (
     PointExecutionError,
     PointResult,
     SweepResult,
-    SweepRunner,
     run_sweep,
 )
 from repro.experiments.spec import (
@@ -81,7 +80,7 @@ from repro.experiments.spec import (
 from repro.experiments.store import (
     ResultStore,
     StoredResult,
-    default_store_path,
+    default_store_dir,
 )
 from repro.experiments.summary import (
     MIXED,
@@ -101,7 +100,6 @@ __all__ = [
     "PointExecutionError",
     "PointResult",
     "SweepResult",
-    "SweepRunner",
     "run_sweep",
     "ExperimentPoint",
     "SweepSpec",
@@ -110,7 +108,7 @@ __all__ = [
     "point_key",
     "ResultStore",
     "StoredResult",
-    "default_store_path",
+    "default_store_dir",
     "aggregate_metric",
     "format_summary",
     "group_results",

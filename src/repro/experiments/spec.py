@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 #: Scalars allowed as parameter values (must survive a JSON round-trip).
@@ -67,7 +68,7 @@ class ExperimentPoint:
     def as_dict(self) -> Dict[str, Any]:
         return dict(self.params)
 
-    @property
+    @cached_property
     def key(self) -> str:
         return point_key(self.study, self.as_dict())
 

@@ -1,23 +1,19 @@
-"""JSONL-backed result store keyed by experiment-point hash.
+"""Result records, and the read-only flat JSONL store format.
 
-Each line is one self-contained record::
+A :class:`StoredResult` is one design point's outcome; every store
+keeps it as one canonical-JSON line::
 
     {"key": "...", "study": "caches", "params": {...},
      "metrics": {...}, "elapsed": 0.12, "created": 1690000000.0}
 
-Appending is the only write operation and each record is written as a
-single ``os.write`` on an ``O_APPEND`` fd (atomic on POSIX), so
-concurrent sweep workers at worst duplicate a record — never interleave
-partial lines; :meth:`ResultStore.load` keeps the *last* record per
-key, making reruns idempotent.  A crash mid-append can tear at most the
-*final* line, so ``load`` skips (and warns about) a torn final line but
-treats invalid bytes anywhere else as real corruption and raises.  The
-default location is ``benchmarks/results/store.jsonl`` next to the
-benchmark artefacts.
-
-For sweeps past a few thousand points, the sharded indexed store in
-:mod:`repro.fabric.store` reads the same record format without the
-O(whole-file) rescan; ``repro store migrate`` converts between the two.
+Sweeps write to the sharded, indexed store in
+:mod:`repro.fabric.store` (default directory:
+``benchmarks/results/fabric``).  :class:`ResultStore` only *reads* the
+older flat format — a single ``store.jsonl`` of such lines — so that
+``repro store migrate`` (and a sharded store opened over a directory
+holding one) can import it.  ``load`` keeps the *last* record per key;
+it skips (and warns about) a torn final line but treats invalid bytes
+anywhere else as real corruption and raises.
 """
 
 from __future__ import annotations
@@ -27,14 +23,13 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.experiments.spec import ExperimentPoint, canonical_json
-from repro.fabric.io import append_record
 
 
-def default_store_path() -> str:
-    """``benchmarks/results/store.jsonl`` anchored at the repo root.
+def default_store_dir() -> str:
+    """``benchmarks/results/fabric`` anchored at the repo root.
 
     Falls back to the current working directory when the package is
     installed outside a checkout (no ``benchmarks/`` sibling).
@@ -44,7 +39,7 @@ def default_store_path() -> str:
     candidate = os.path.join(root, "benchmarks")
     if not os.path.isdir(candidate):
         candidate = os.path.join(os.getcwd(), "benchmarks")
-    return os.path.join(candidate, "results", "store.jsonl")
+    return os.path.join(candidate, "results", "fabric")
 
 
 @dataclass
@@ -91,10 +86,10 @@ class StoredResult:
 
 
 class ResultStore:
-    """Append-only JSONL store with an in-memory last-wins index."""
+    """Read-only flat JSONL store with an in-memory last-wins index."""
 
-    def __init__(self, path: Optional[str] = None) -> None:
-        self.path = path or default_store_path()
+    def __init__(self, path: str) -> None:
+        self.path = path
         self._index: Dict[str, StoredResult] = {}
         self.duplicates = 0
         self.load()
@@ -160,46 +155,3 @@ class ResultStore:
         found = [r for r in self._index.values()
                  if study is None or r.study == study]
         return sorted(found, key=lambda r: r.created)
-
-    # -- writing --------------------------------------------------------
-    def put(
-        self,
-        point: ExperimentPoint,
-        metrics: Mapping[str, Any],
-        elapsed: float = 0.0,
-    ) -> StoredResult:
-        record = StoredResult(
-            key=point.key,
-            study=point.study,
-            params=_plain(point.as_dict()),
-            metrics=dict(metrics),
-            elapsed=elapsed,
-        )
-        self.put_record(record)
-        return record
-
-    def put_record(self, record: StoredResult) -> None:
-        """Append a pre-built record (used by migration/compaction)."""
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        # One O_APPEND fd + one os.write per record: concurrent sweep
-        # workers append whole lines atomically.  Buffered `open(..,
-        # "a").write` could flush a record as several syscalls, letting
-        # parallel writers interleave partial lines and corrupt both.
-        payload = (record.to_json() + "\n").encode("utf-8")
-        append_record(self.path, payload)
-        self._index[record.key] = record
-
-    def clear(self) -> None:
-        """Drop every record (index and file)."""
-        self._index.clear()
-        self.duplicates = 0
-        if os.path.exists(self.path):
-            os.remove(self.path)
-
-
-def _plain(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Tuples -> lists so params survive the JSON round-trip unchanged."""
-    out: Dict[str, Any] = {}
-    for key, value in params.items():
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out

@@ -1,9 +1,7 @@
-"""Distributed, resumable sweep fabric.
+"""The sweep fabric: the one sweep runner and the one result store.
 
-Generalises the flat JSONL :class:`~repro.experiments.store.ResultStore`
-and single-pool :class:`~repro.experiments.runner.SweepRunner` into a
-job fabric that survives crashes and scales past a single rescan-able
-file:
+Every sweep runs here, durably: results survive crashes, and a store
+scales past a single rescan-able file:
 
 * :mod:`repro.fabric.store` — results sharded into JSONL files by
   key-hash range with a SQLite index (lookups and study queries stop
@@ -13,7 +11,8 @@ file:
   is re-run, not lost.
 * :mod:`repro.fabric.journal` — atomic per-run sweep journal enabling
   ``repro sweep --resume RUN_ID``.
-* :mod:`repro.fabric.runner` — the scheduler that ties them together.
+* :mod:`repro.fabric.runner` — the sweep runner that ties them
+  together (in process for one worker, spawned processes for more).
 
 Submodules import ``repro.experiments``, which itself uses
 :mod:`repro.fabric.io`; attribute access is lazy (PEP 562) so importing

@@ -177,12 +177,15 @@ class LeaseBoard:
         return cursor.rowcount > 0
 
     def fail(self, run_id: str, batch_id: str, owner: str,
-             error: str) -> bool:
+             error: str, attempts: int = 0) -> bool:
+        """Settle a leased batch as failed; ``attempts`` raises its
+        attempt count to at least that (``max_attempts``: no retry)."""
         cursor = self._conn.execute(
-            "UPDATE batches SET state = 'failed', error = ?, updated = ? "
+            "UPDATE batches SET state = 'failed', error = ?, updated = ?, "
+            "attempts = MAX(attempts, ?) "
             "WHERE run_id = ? AND batch_id = ? AND owner = ? "
             "AND state = 'leased'",
-            (error[:500], time.time(), run_id, batch_id, owner),
+            (error[:500], time.time(), attempts, run_id, batch_id, owner),
         )
         return cursor.rowcount > 0
 

@@ -1,4 +1,4 @@
-"""Sharded, indexed result store (same record format, O(1) lookups).
+"""The result store: sharded JSONL records with an O(1) lookup index.
 
 Layout of a store directory::
 
@@ -8,19 +8,18 @@ Layout of a store directory::
     <dir>/shards/shard-001.jsonl
     ...
 
-Records are byte-identical to the flat :class:`~repro.experiments.
-store.ResultStore` lines — one canonical-JSON object per line — but
-partitioned by key-hash range (``int(key[:4], 16) % shards``), so a
-shard never needs locking beyond the ``O_APPEND`` single-write
-discipline and a million-record store opens without parsing a single
-record: the SQLite index remembers how far each shard was indexed and
-``refresh`` reads only appended tails.
+Records are :class:`~repro.experiments.store.StoredResult` lines, the
+format of the retired flat ``store.jsonl`` — one canonical-JSON object
+per line — partitioned by key-hash range (``int(key[:4], 16) %
+shards``), so a shard never needs locking beyond the ``O_APPEND``
+single-write discipline and a million-record store opens without
+parsing a single record: the SQLite index remembers how far each shard
+was indexed and ``refresh`` reads only appended tails.
 
-Existing flat stores migrate transparently: opening a directory that
-contains a ``store.jsonl`` imports any bytes not yet imported, so
-``ShardedResultStore(os.path.dirname(flat.path))`` picks up where the
-flat store left off.  ``compact`` rewrites each shard keeping only the
-last record per key (atomic temp+rename per shard).
+A flat store is imported by ``repro store migrate``
+(:meth:`ShardedResultStore.import_flat_store`).  ``compact`` rewrites
+each shard keeping only the last record per key (atomic temp+rename
+per shard).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.experiments.spec import ExperimentPoint, canonical_json
-from repro.experiments.store import ResultStore, StoredResult, _plain
+from repro.experiments.store import ResultStore, StoredResult
 from repro.fabric.index import IndexRow, StoreIndex
 from repro.fabric.io import append_record, atomic_write_json, atomic_write_text
 
@@ -47,7 +46,6 @@ __all__ = [
 STORE_SCHEMA = "repro.fabric-store/1"
 META_NAME = "fabric.json"
 DEFAULT_SHARDS = 16
-FLAT_NAME = "store.jsonl"
 
 
 def params_digest(params: Mapping[str, Any]) -> str:
@@ -71,7 +69,7 @@ class CompactStats:
 
 
 class ShardedResultStore:
-    """Duck-type of ``ResultStore`` backed by shards + SQLite index.
+    """The result store every sweep writes: shards + SQLite index.
 
     ``index_writes=False`` opens the store append-only *and* opens the
     SQLite index read-only: ``put`` writes shard lines but never
@@ -102,13 +100,11 @@ class ShardedResultStore:
         meta = self._load_meta()
         if meta is None:
             self.shards = shards
-            meta = {"schema": STORE_SCHEMA, "shards": shards,
-                    "flat_imported_bytes": 0}
+            meta = {"schema": STORE_SCHEMA, "shards": shards}
             if index_writes:
                 atomic_write_json(self.path, meta)
         else:
             self.shards = int(meta["shards"])
-        self._meta = meta
         self.index = StoreIndex(
             os.path.join(self.directory, "index.sqlite"),
             read_only=not index_writes,
@@ -117,8 +113,6 @@ class ShardedResultStore:
         #: (and of this handle's own appends).
         self._overlay: Dict[str, IndexRow] = {}
         self._overlay_marks: Dict[int, int] = {}
-        if index_writes:
-            self._import_flat()
         if refresh_on_open:
             self.refresh()
 
@@ -143,25 +137,6 @@ class ShardedResultStore:
         return dict(payload)
 
     # -- migration ------------------------------------------------------
-    def _import_flat(self) -> int:
-        """Fold an adjacent flat ``store.jsonl`` into the shards.
-
-        Tracks how many flat bytes were already imported, so reopening
-        is free and appends made to the flat file *after* a migration
-        are picked up incrementally on the next open.
-        """
-        flat = os.path.join(self.directory, FLAT_NAME)
-        if not os.path.exists(flat):
-            return 0
-        size = os.path.getsize(flat)
-        done = int(self._meta.get("flat_imported_bytes", 0))
-        if size <= done:
-            return 0
-        imported = self.import_flat_store(flat)
-        self._meta["flat_imported_bytes"] = size
-        atomic_write_json(self.path, self._meta)
-        return imported
-
     def import_flat_store(self, flat_path: str) -> int:
         """Copy every record of a flat JSONL store into the shards."""
         flat = ResultStore(flat_path)
@@ -170,8 +145,9 @@ class ShardedResultStore:
         return len(records)
 
     # -- reading --------------------------------------------------------
-    def refresh(self) -> None:
-        """Index shard bytes appended since the last refresh.
+    def refresh(self) -> List[StoredResult]:
+        """Index shard bytes appended since the last refresh; returns
+        the records found there.
 
         Only complete lines (ending in ``\\n``) are consumed; a torn
         final line — crash mid-append — stays beyond the watermark and
@@ -186,6 +162,7 @@ class ShardedResultStore:
         writing the index.
         """
         rows: List[Tuple[str, int, int, int, str, str, float]] = []
+        found: List[StoredResult] = []
         marks = self.index.watermarks()
         if not self.index_writes:
             for shard, done in self._overlay_marks.items():
@@ -216,6 +193,7 @@ class ShardedResultStore:
                         record.key, shard, offset, length, record.study,
                         params_digest(record.params), record.created,
                     ))
+                    found.append(record)
                 except (ValueError, UnicodeDecodeError):
                     self.skipped_lines += 1
                 offset += length
@@ -224,9 +202,10 @@ class ShardedResultStore:
             for row in rows:
                 self._overlay[row[0]] = IndexRow(*row)
             self._overlay_marks.update(new_marks)
-            return
+            return found
         if rows or new_marks:
             self.index.upsert(rows, new_marks)
+        return found
 
     def _read_at(self, shard: int, offset: int, length: int) -> StoredResult:
         with open(self.shard_path(shard), "rb") as handle:
@@ -439,15 +418,6 @@ class ShardedResultStore:
         self.skipped_lines = 0
         self.refresh()
 
-    def clear(self) -> None:
-        """Drop every record (shards and index)."""
-        for shard in range(self.shards):
-            try:
-                os.remove(self.shard_path(shard))
-            except OSError:
-                pass
-        self.index.reset()
-
     def stats(self) -> Dict[str, Any]:
         shard_bytes = {}
         for shard in range(self.shards):
@@ -469,13 +439,18 @@ class ShardedResultStore:
         self.index.close()
 
 
+def _plain(params: Mapping[str, Any]) -> Dict[str, Any]:
+    """Tuples -> lists so params survive the JSON round-trip unchanged."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in params.items()}
+
+
 def open_result_store(path: str) -> Any:
     """Open ``path`` as whichever store format lives there.
 
     Directories (or paths ending with the OS separator) open as
-    :class:`ShardedResultStore` — including directories holding only a
-    legacy flat ``store.jsonl``, which migrates on first open.  A file
-    path opens as the flat :class:`ResultStore`.
+    :class:`ShardedResultStore`; a file path opens as the read-only
+    flat :class:`ResultStore`.
     """
     if path.endswith(os.sep) or os.path.isdir(path) or (
         not os.path.exists(path) and not path.endswith(".jsonl")

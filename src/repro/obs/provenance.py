@@ -3,9 +3,10 @@
 A JSONL store row says *what* was measured; the manifest next to it
 says *how*: which code revision, package version, interpreter, host,
 spec, worker count and wall-clock produced the rows.  Every sweep with
-a result store writes ``manifests/<run_id>.json`` into the store's
-directory, plus ``manifest.json`` as a copy of the latest run's, which
-``repro results`` / ``repro report`` surface as a provenance header.
+a result store writes ``manifests/<run_id>.json`` beside its event log
+(``repro sweep``: next to the store directory), plus ``manifest.json``
+as a copy of the latest run's, which ``repro results`` /
+``repro report`` surface as a provenance header.
 
 Everything here is failure-tolerant: a missing ``git`` binary, a
 non-checkout install, or an unwritable directory degrade to ``None``

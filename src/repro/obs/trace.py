@@ -27,9 +27,9 @@ Design constraints (DESIGN.md §7):
   capacity)`` ring: a multi-year simulated run keeps the most recent
   ``capacity`` spans instead of growing without bound.
 - **Cross-process mergeable.**  Records are plain dicts with epoch
-  timestamps and the recording pid/tid, so sweep workers can ship their
-  spans back through the multiprocessing pool and the parent's ring
-  holds one coherent timeline (:meth:`Tracer.extend`).
+  timestamps and the recording pid/tid, so spawned sweep workers can
+  spool their spans back and the parent's ring holds one coherent
+  timeline (:meth:`Tracer.extend`).
 
 Export targets the Chrome trace-event JSON format (``"X"`` complete
 events), loadable in Perfetto / ``about://tracing`` — see
@@ -219,7 +219,7 @@ class Tracer:
         return list(self._ring)
 
     def drain(self) -> List[Dict[str, Any]]:
-        """Pop every record (how pool workers ship spans back)."""
+        """Pop every record (how spawned workers ship spans back)."""
         records = list(self._ring)
         self._ring.clear()
         return records
@@ -227,14 +227,6 @@ class Tracer:
     def extend(self, records: Iterable[Dict[str, Any]]) -> None:
         """Merge records from another process into this ring."""
         self._ring.extend(records)
-
-    def record_span(self, name: str, wall: float, duration: float,
-                    **attrs: Any) -> None:
-        """Append a span observed externally (e.g. a queue wait whose
-        endpoints were measured in two different processes)."""
-        if not self.enabled:
-            return
-        self._record(name, wall, duration, self._next_id(), None, attrs)
 
 
 #: The process-global tracer every instrumented module shares.

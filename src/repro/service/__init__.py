@@ -15,7 +15,7 @@ stdlib-only asyncio server —
 - :mod:`repro.service.hub` — bounded fan-out of job messages to any
   number of WS subscribers (slow consumers are dropped, never block);
 - :mod:`repro.service.jobs` — spec-hash job dedup and execution via
-  ``SweepRunner``/``FabricRunner`` in an executor;
+  :class:`~repro.fabric.runner.FabricRunner` in an executor;
 - :mod:`repro.service.app` — routing, signal handling, graceful drain.
 
 Run it with ``repro serve``; talk to it with

@@ -32,7 +32,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import api
-from repro.experiments.runner import EVENTS_NAME, SweepRunner, SweepResult
+from repro.experiments.runner import EVENTS_NAME, SweepResult
 from repro.experiments.spec import SweepSpec
 from repro.fabric.runner import FabricIncompleteError, FabricRunner
 from repro.fabric.store import ShardedResultStore
@@ -59,13 +59,13 @@ class Job:
     """One deduplicated sweep execution and its streaming state."""
 
     def __init__(self, run_id: str, spec: SweepSpec, digest: str,
-                 fabric: bool, workers: int,
+                 workers: int, store_dir: str,
                  loop: asyncio.AbstractEventLoop) -> None:
         self.run_id = run_id
         self.spec = spec
         self.spec_hash = digest
-        self.fabric = fabric
         self.workers = workers
+        self.store_dir = store_dir
         self.state = QUEUED
         self.error: Optional[str] = None
         self.created = time.time()
@@ -79,7 +79,7 @@ class Job:
         self.manifest_path: Optional[str] = None
         self.results: List[Dict[str, Any]] = []
         self.hub = Hub(loop)
-        self._runner: Optional[Any] = None
+        self._runner: Optional[FabricRunner] = None
         # Job-level telemetry: read-backed stats over the live counters,
         # snapshotted by the pump whenever progress moved.
         metrics = MetricSet()
@@ -105,7 +105,6 @@ class Job:
             "state": self.state,
             "study": self.spec.study,
             "spec_hash": self.spec_hash,
-            "fabric": self.fabric,
             "workers": self.workers,
             "submissions": self.submissions,
             "total": self.total,
@@ -121,7 +120,8 @@ class Job:
         }
         if self.state == INCOMPLETE:
             payload["resume"] = (
-                f"repro sweep --resume {self.run_id} --fabric")
+                f"repro sweep --resume {self.run_id} "
+                f"--store {self.store_dir}")
         return payload
 
 
@@ -150,7 +150,7 @@ class JobManager:
         self.store = ShardedResultStore(self.directory)
 
     # -- submission -----------------------------------------------------
-    def submit(self, payload: Any, fabric: Optional[bool] = None,
+    def submit(self, payload: Any,
                workers: Optional[int] = None) -> Tuple[Job, bool]:
         """Resolve, dedupe and (if new) launch a job.
 
@@ -174,8 +174,8 @@ class JobManager:
             run_id=new_run_id(),
             spec=spec,
             digest=digest,
-            fabric=bool(fabric),
             workers=max(1, workers or self.default_workers),
+            store_dir=self.directory,
             loop=self._loop,
         )
         self._jobs[job.run_id] = job
@@ -183,8 +183,7 @@ class JobManager:
         if self.log is not None:
             self.log.info("job_submitted", job=job.run_id,
                           study=job.spec.study, points=job.total,
-                          spec_hash=digest, fabric=job.fabric,
-                          workers=job.workers)
+                          spec_hash=digest, workers=job.workers)
         # Capture the event-log watermark *before* the job thread can
         # write run_start: the pump must not start tailing "at the end"
         # of a file the runner already appended to.
@@ -209,17 +208,11 @@ class JobManager:
     def _run_job(self, job: Job) -> None:
         job.started = time.time()
         job.state = RUNNING
-        store = ShardedResultStore(self.directory)
-        runner: Any = None
+        runner: Optional[FabricRunner] = None
         try:
-            if job.fabric:
-                runner = FabricRunner(
-                    store, workers=job.workers, run_id=job.run_id,
-                    progress=job.note_point)
-            else:
-                runner = SweepRunner(
-                    store=store, workers=job.workers,
-                    run_id=job.run_id, progress=job.note_point)
+            runner = FabricRunner(self.directory, workers=job.workers,
+                                  run_id=job.run_id,
+                                  progress=job.note_point)
             job._runner = runner
             outcome = runner.run(job.spec)
             job.results = _result_rows(outcome)
@@ -234,9 +227,8 @@ class JobManager:
         finally:
             job.finished = time.time()
             job._runner = None
-            if isinstance(runner, FabricRunner):
+            if runner is not None:
                 runner.close()
-            store.close()
 
     # -- streaming (event loop) -----------------------------------------
     async def _pump(self, job: Job, tail_from: int = 0) -> None:
@@ -283,16 +275,16 @@ class JobManager:
     async def drain(self, grace: float = 30.0) -> Dict[str, Any]:
         """Stop accepting work; wind down what is running.
 
-        Fabric jobs are asked to stop cooperatively (their journals
-        make ``--resume`` bit-identical later); in-process sweep jobs
-        are awaited up to ``grace`` seconds.  Counts what happened so
-        the caller can log it.
+        Running jobs are asked to stop cooperatively (their journals
+        make ``--resume`` bit-identical later) and awaited up to
+        ``grace`` seconds.  Counts what happened so the caller can log
+        it.
         """
         self.draining = True
         stopped = 0
         for job in self._jobs.values():
             runner = job._runner
-            if isinstance(runner, FabricRunner):
+            if runner is not None:
                 runner.request_stop()
                 stopped += 1
         pending = [f for f in self._futures.values() if not f.done()]
@@ -307,7 +299,7 @@ class JobManager:
         self._executor.shutdown(wait=False)
         unfinished = [j.run_id for j in self._jobs.values()
                       if j.state not in TERMINAL_STATES]
-        return {"stopped_fabric": stopped, "unfinished": unfinished}
+        return {"stopped": stopped, "unfinished": unfinished}
 
     def close(self) -> None:
         self.store.close()

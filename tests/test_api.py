@@ -177,10 +177,9 @@ class TestBuildPenelope:
 
 
 def _run_legacy(study, base, grid):
-    from repro.experiments import SweepRunner, SweepSpec
+    from repro.experiments import SweepSpec, run_sweep
 
-    outcome = SweepRunner(store=None).run(
-        SweepSpec(study, base=base, grid=grid))
+    outcome = run_sweep(SweepSpec(study, base=base, grid=grid))
     return {r.point.key: r.metrics for r in outcome.results}
 
 

@@ -109,6 +109,40 @@ class TestCommands:
                      "regfile"]) == 0
         assert "no stored results" in capsys.readouterr().out
 
+    def test_sweep_rerun_writes_nothing_into_the_store(self, capsys,
+                                                        tmp_path):
+        """The event log and manifests land beside the store directory,
+        so a rerun served entirely from the store leaves it untouched."""
+        import os
+
+        store = str(tmp_path / "store")
+        argv = ["sweep", "caches", "--grid", "ratio=0.4,0.6",
+                "--suites", "office", "--length", "400",
+                "--store", store, "--quiet"]
+
+        def snapshot():
+            return {os.path.join(root, name):
+                    os.path.getsize(os.path.join(root, name))
+                    for root, __, names in os.walk(store)
+                    for name in names}
+
+        assert main(argv) == 0
+        before = snapshot()
+        assert main(argv) == 0
+        assert snapshot() == before
+        assert os.path.exists(tmp_path / "events.jsonl")
+        assert len(os.listdir(tmp_path / "manifests")) == 2
+
+    def test_sweep_rejects_a_store_file(self, capsys, tmp_path):
+        flat = tmp_path / "legacy.jsonl"
+        flat.write_text("")
+        for argv in (["sweep", "caches", "--suites", "office",
+                      "--store", str(flat)],
+                     ["sweep", "--resume", "abc", "--store", str(flat)]):
+            assert main(argv) == 2
+            assert "store migrate" in capsys.readouterr().err
+        assert flat.read_text() == ""
+
     def test_report_renders_stored_sweep(self, capsys, tmp_path):
         store = str(tmp_path / "store.jsonl")
         assert main(["sweep", "caches", "--grid", "ratio=0.4,0.6",

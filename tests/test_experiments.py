@@ -8,7 +8,7 @@ import pytest
 from repro.experiments import (
     ExperimentPoint,
     ResultStore,
-    SweepRunner,
+    StoredResult,
     SweepSpec,
     aggregate_metric,
     coerce_scalar,
@@ -31,6 +31,26 @@ TINY_GRID = {"ratio": [0.4, 0.6], "suite": ["office", "kernels"]}
 def tiny_spec():
     return SweepSpec("caches", base=dict(TINY_BASE),
                      grid={k: list(v) for k, v in TINY_GRID.items()})
+
+
+def append_flat(path, point, metrics, elapsed=0.0):
+    """Append one record line to a flat JSONL store file."""
+    record = StoredResult(key=point.key, study=point.study,
+                          params=point.as_dict(), metrics=dict(metrics),
+                          elapsed=elapsed)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(record.to_json() + "\n")
+    return record
+
+
+def stored_lines(directory):
+    """Record lines across a store directory's shards."""
+    shard_dir = os.path.join(directory, "shards")
+    lines = []
+    for name in sorted(os.listdir(shard_dir)):
+        with open(os.path.join(shard_dir, name)) as handle:
+            lines.extend(handle.readlines())
+    return lines
 
 
 class TestSpec:
@@ -83,11 +103,14 @@ class TestSpec:
 
 
 class TestStore:
+    """The flat JSONL format is read-only: these files are written the
+    way the retired flat store wrote them, one record line each."""
+
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
         point = ExperimentPoint.from_dict("caches", {"ratio": 0.5})
-        store.put(point, {"mean_loss": 0.01}, elapsed=0.5)
+        append_flat(path, point, {"mean_loss": 0.01}, elapsed=0.5)
+        store = ResultStore(path)
         assert point.key in store
         assert store.get_point(point).metrics == {"mean_loss": 0.01}
 
@@ -100,25 +123,23 @@ class TestStore:
 
     def test_last_record_wins(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
         point = ExperimentPoint.from_dict("caches", {"ratio": 0.5})
-        store.put(point, {"mean_loss": 0.01})
-        store.put(point, {"mean_loss": 0.02})
-        assert len(store) == 1
+        append_flat(path, point, {"mean_loss": 0.01})
+        append_flat(path, point, {"mean_loss": 0.02})
+        assert len(ResultStore(path)) == 1
         assert ResultStore(path).get(point.key).metrics == {
             "mean_loss": 0.02
         }
 
     def test_torn_final_line_warns_and_is_skipped(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
         point = ExperimentPoint.from_dict("caches", {"ratio": 0.5})
-        store.put(point, {"mean_loss": 0.01})
+        record = append_flat(path, point, {"mean_loss": 0.01})
         # Simulate a crash mid-append: the final line is truncated
         # partway through the record.
         with open(path, "r+") as handle:
             full = handle.read()
-            extra = store.get(point.key).to_json()
+            extra = record.to_json()
             handle.write(extra[: len(extra) // 2])
         with pytest.warns(RuntimeWarning, match="torn final line"):
             reloaded = ResultStore(path)
@@ -128,11 +149,10 @@ class TestStore:
 
     def test_mid_file_corruption_raises_with_location(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
         a = ExperimentPoint.from_dict("caches", {"ratio": 0.4})
         b = ExperimentPoint.from_dict("caches", {"ratio": 0.6})
-        store.put(a, {"mean_loss": 0.01})
-        store.put(b, {"mean_loss": 0.02})
+        append_flat(path, a, {"mean_loss": 0.01})
+        append_flat(path, b, {"mean_loss": 0.02})
         lines = open(path).read().splitlines()
         lines[0] = "not json"
         with open(path, "w") as handle:
@@ -154,32 +174,37 @@ class TestStore:
 
     def test_duplicates_counted_last_wins(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
         point = ExperimentPoint.from_dict("caches", {"ratio": 0.5})
-        store.put(point, {"mean_loss": 0.01})
-        store.put(point, {"mean_loss": 0.02})
+        append_flat(path, point, {"mean_loss": 0.01})
+        append_flat(path, point, {"mean_loss": 0.02})
         reloaded = ResultStore(path)
         assert reloaded.duplicates == 1
         assert reloaded.get(point.key).metrics == {"mean_loss": 0.02}
 
     def test_concurrent_appends_never_interleave(self, tmp_path):
-        """put() is one O_APPEND write per record: hammering one store
-        file from many threads must yield only whole, parseable lines."""
+        """put() is one O_APPEND write per record: many append-only
+        handles (the spawned workers' view) hammering one store from
+        many threads must yield only whole, parseable lines."""
         import threading
 
-        path = str(tmp_path / "store.jsonl")
+        from repro.fabric.store import ShardedResultStore
+
+        directory = str(tmp_path / "store")
+        ShardedResultStore(directory, shards=1).close()
         n_threads, per_thread = 8, 25
         # Bulky metrics so a buffered writer would plausibly split the
         # line across flushes.
         padding = "x" * 512
 
         def writer(worker):
-            store = ResultStore(path)
+            store = ShardedResultStore(directory, index_writes=False,
+                                       refresh_on_open=False)
             for i in range(per_thread):
                 point = ExperimentPoint.from_dict(
                     "caches", {"worker": worker, "i": i})
                 store.put(point, {"value": worker * 1000 + i,
                                   "padding": padding})
+            store.close()
 
         threads = [threading.Thread(target=writer, args=(w,))
                    for w in range(n_threads)]
@@ -188,39 +213,29 @@ class TestStore:
         for thread in threads:
             thread.join()
 
-        with open(path) as handle:
-            lines = handle.readlines()
+        lines = stored_lines(directory)
         assert len(lines) == n_threads * per_thread
         for line in lines:
             record = json.loads(line)  # no interleaved partial lines
             assert record["metrics"]["padding"] == padding
-        merged = ResultStore(path)
+        merged = ShardedResultStore(directory)
         assert len(merged) == n_threads * per_thread
-
-    def test_clear(self, tmp_path):
-        path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
-        store.put(ExperimentPoint.from_dict("caches", {}), {"m": 1.0})
-        store.clear()
-        assert len(store) == 0
-        assert not os.path.exists(path)
+        merged.close()
 
 
 class TestRunner:
     def test_cache_hits_on_rerun(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store.jsonl"))
-        first = SweepRunner(store=store, workers=1).run(tiny_spec())
+        store = str(tmp_path / "store")
+        first = run_sweep(tiny_spec(), store=store, workers=1)
         assert first.executed == 4 and first.cache_hits == 0
 
-        rerun = SweepRunner(
-            store=ResultStore(str(tmp_path / "store.jsonl")), workers=1
-        ).run(tiny_spec())
+        rerun = run_sweep(tiny_spec(), store=store, workers=1)
         assert rerun.cache_hits == 4 and rerun.executed == 0
         assert rerun.metrics_by_key() == first.metrics_by_key()
 
     def test_parallel_equals_serial(self):
-        serial = SweepRunner(store=None, workers=1).run(tiny_spec())
-        parallel = SweepRunner(store=None, workers=2).run(tiny_spec())
+        serial = run_sweep(tiny_spec(), store=None, workers=1)
+        parallel = run_sweep(tiny_spec(), store=None, workers=2)
         assert len(serial) == len(parallel) == 4
         assert [r.point.key for r in serial] == [
             r.point.key for r in parallel
@@ -244,9 +259,9 @@ class TestRunner:
 
         explicit_spec = tiny_spec()
         explicit_spec.base["ways"] = 8
-        store = ResultStore(str(tmp_path / "store.jsonl"))
-        SweepRunner(store=store).run(tiny_spec())
-        rerun = SweepRunner(store=store).run(explicit_spec)
+        store = str(tmp_path / "store")
+        run_sweep(tiny_spec(), store=store)
+        rerun = run_sweep(explicit_spec, store=store)
         assert rerun.cache_hits == len(rerun) == 4
 
     def test_duplicate_grid_values_survive_parallel(self):
@@ -255,7 +270,7 @@ class TestRunner:
             base=dict(TINY_BASE),
             grid={"ratio": [0.5, 0.5], "suite": ["office"]},
         )
-        outcome = SweepRunner(store=None, workers=2).run(spec)
+        outcome = run_sweep(spec, store=None, workers=2)
         assert len(outcome) == 2
         metrics = [r.metrics for r in outcome]
         assert metrics[0] == metrics[1]
@@ -269,17 +284,16 @@ class TestRunner:
             base=dict(TINY_BASE),
             grid={"ratio": [0.5, 0.5, 0.5], "suite": ["office"]},
         )
-        store = ResultStore(str(tmp_path / "store.jsonl"))
+        store = str(tmp_path / "store")
         seen = []
-        outcome = SweepRunner(store=store, workers=1,
-                              progress=seen.append).run(spec)
+        outcome = run_sweep(spec, store=store, workers=1,
+                            progress=seen.append)
         assert len(outcome) == len(seen) == 3
         # One executed primary, two zero-cost fan-outs.
         assert outcome.executed == 1 and outcome.cache_hits == 2
         assert len({r.point.key for r in outcome}) == 1
         assert [r.metrics for r in outcome] == [outcome.results[0].metrics] * 3
-        with open(store.path) as handle:
-            assert len(handle.readlines()) == 1
+        assert len(stored_lines(store)) == 1
 
     def test_unknown_study_raises(self):
         with pytest.raises(KeyError):
@@ -292,40 +306,12 @@ class TestRunner:
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
-            SweepRunner(workers=0)
+            run_sweep(tiny_spec(), workers=0)
 
     def test_progress_callback_sees_every_point(self):
         seen = []
         run_sweep(tiny_spec(), progress=seen.append)
         assert len(seen) == 4
-
-    def test_pool_breakage_emits_worker_lost(self, tmp_path):
-        """A non-point exception escaping the pool (worker SIGKILLed,
-        OOMed) leaves a structured worker_lost event naming the run and
-        the last heartbeat, then re-raises."""
-        from repro.obs.log import EventLog
-
-        class BrokenPool:
-            def imap_unordered(self, func, tasks):
-                raise RuntimeError("worker died unexpectedly")
-                yield  # pragma: no cover
-
-        log_path = str(tmp_path / "events.jsonl")
-        runner = SweepRunner(
-            store=None, workers=2, run_id="testrun",
-            log=EventLog(path=log_path, run_id="testrun"),
-        )
-        pending = list(enumerate(tiny_spec().expand()))
-        with pytest.raises(RuntimeError, match="worker died"):
-            list(runner._execute_pool(BrokenPool(), pending))
-        events = [json.loads(line) for line in open(log_path)]
-        lost = [e for e in events if e["event"] == "worker_lost"]
-        assert len(lost) == 1
-        payload = lost[0]["payload"]
-        assert lost[0]["run_id"] == "testrun"
-        assert "RuntimeError" in payload["error"]
-        assert payload["workers"] == 2
-        assert payload["last_heartbeat"] > 0
 
 
 class TestRegistry:
@@ -460,13 +446,13 @@ class TestAcceptance:
             },
         )
         assert spec.size == 24
-        store = ResultStore(str(tmp_path / "store.jsonl"))
-        first = SweepRunner(store=store, workers=4).run(spec)
+        store = str(tmp_path / "store")
+        first = run_sweep(spec, store=store, workers=4)
         assert len(first) == 24 and first.executed == 24
 
-        rerun = SweepRunner(store=store, workers=4).run(spec)
+        rerun = run_sweep(spec, store=store, workers=4)
         assert rerun.cache_hits == 24 and rerun.executed == 0
         assert rerun.metrics_by_key() == first.metrics_by_key()
 
-        serial = SweepRunner(store=None, workers=1).run(spec)
+        serial = run_sweep(spec, store=None, workers=1)
         assert serial.metrics_by_key() == first.metrics_by_key()

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.experiments import ResultStore, SweepRunner, SweepSpec
+from repro.experiments import ResultStore, SweepSpec, run_sweep
 from repro.experiments.registry import _STUDIES, register_study
 from repro.experiments.spec import ExperimentPoint
 from repro.experiments.store import StoredResult
@@ -47,6 +47,14 @@ def make_record(ratio, metrics=None, study="caches", created=None):
         metrics=dict(metrics or {"mean_loss": ratio}),
         elapsed=0.1, created=created if created is not None else ratio,
     )
+
+
+def append_flat(path, point, metrics):
+    """Append one record line to a flat JSONL store file."""
+    record = StoredResult(key=point.key, study=point.study,
+                          params=point.as_dict(), metrics=dict(metrics))
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(record.to_json() + "\n")
 
 
 def event_kinds(directory):
@@ -188,26 +196,25 @@ class TestShardedStore:
         assert reopened.get(record.key).metrics == record.metrics
         reopened.close()
 
-    def test_flat_store_migrates_transparently(self, tmp_path):
-        flat = ResultStore(str(tmp_path / "store.jsonl"))
+    def test_flat_store_imports_through_migrate(self, tmp_path):
+        from repro.cli import main
+
+        flat = str(tmp_path / "store.jsonl")
         point = ExperimentPoint.from_dict("caches", {"ratio": 0.5})
-        flat.put(point, {"mean_loss": 0.01})
-
-        sharded = ShardedResultStore(str(tmp_path))
-        assert len(sharded) == 1
-        assert sharded.get(point.key).metrics == {"mean_loss": 0.01}
-        sharded.close()
-
-        # Appends made to the flat file *after* migration are imported
-        # incrementally on the next open.
+        append_flat(flat, point, {"mean_loss": 0.01})
         other = ExperimentPoint.from_dict("caches", {"ratio": 0.7})
-        flat.put(other, {"mean_loss": 0.02})
-        reopened = ShardedResultStore(str(tmp_path))
-        assert len(reopened) == 2
-        assert reopened.get(other.key).metrics == {"mean_loss": 0.02}
-        # ... and re-opening again imports nothing new.
-        reopened.close()
-        assert len(ShardedResultStore(str(tmp_path))) == 2
+        append_flat(flat, other, {"mean_loss": 0.02})
+
+        directory = str(tmp_path / "sharded")
+        assert main(["store", "migrate", flat, directory]) == 0
+        sharded = ShardedResultStore(directory)
+        assert len(sharded) == 2
+        assert sharded.get(point.key).metrics == {"mean_loss": 0.01}
+        assert sharded.get(other.key).metrics == {"mean_loss": 0.02}
+        sharded.close()
+        # Only `repro store migrate` imports: a store directory holding
+        # a flat file does not fold it in on open.
+        assert len(ShardedResultStore(str(tmp_path))) == 0
 
     def test_open_result_store_dispatch(self, tmp_path):
         flat_path = str(tmp_path / "flat.jsonl")
@@ -358,12 +365,12 @@ class TestJournal:
 
 
 # ----------------------------------------------------------------------
-# Fabric runner: differential against the in-process SweepRunner
+# Fabric runner: differential against an uninterrupted serial run
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def serial_oracle():
     """Uninterrupted serial reference run (no store)."""
-    return SweepRunner(store=None, workers=1).run(tiny_spec())
+    return run_sweep(tiny_spec(), store=None, workers=1)
 
 
 def assert_bit_identical(outcome, oracle):
@@ -391,8 +398,7 @@ class TestFabricRunner:
 
     def test_spawned_workers_match_sweep_runner(self, tmp_path,
                                                 serial_oracle):
-        runner = FabricRunner(str(tmp_path), workers=2, batch_size=1,
-                              spawn_workers=True)
+        runner = FabricRunner(str(tmp_path), workers=2, batch_size=1)
         outcome = runner.run(tiny_spec())
         runner.close()
         assert outcome.executed == 4
@@ -463,8 +469,10 @@ class TestFabricRunner:
         missing points re-executed."""
         directory = str(tmp_path)
         monkeypatch.setenv(FAULT_ENV, "kill-worker")
-        runner = FabricRunner(directory, workers=1, batch_size=2,
-                              lease_ttl=0.5, spawn_workers=True)
+        # Two workers over a one-batch plan: exactly one process is
+        # spawned, and it dies mid-batch.
+        runner = FabricRunner(directory, workers=2, batch_size=4,
+                              lease_ttl=0.5)
         with pytest.raises(FabricIncompleteError) as excinfo:
             runner.run(tiny_spec())
         run_id = runner.run_id
@@ -481,8 +489,7 @@ class TestFabricRunner:
 
         monkeypatch.delenv(FAULT_ENV)
         time.sleep(0.6)  # let the dead worker's lease expire
-        resumer = FabricRunner(directory, workers=2, lease_ttl=0.5,
-                               spawn_workers=True)
+        resumer = FabricRunner(directory, workers=2, lease_ttl=0.5)
         outcome = resumer.resume(run_id)
         resumer.close()
 
@@ -509,7 +516,7 @@ class TestFabricRunner:
         directory = str(tmp_path)
         monkeypatch.setenv(FAULT_ENV, "kill-worker")
         runner = FabricRunner(directory, workers=2, batch_size=1,
-                              lease_ttl=0.5, spawn_workers=True)
+                              lease_ttl=0.5)
         outcome = runner.run(tiny_spec())
         runner.close()
         # One worker died, but the run still completed in one go.
@@ -545,7 +552,6 @@ class TestPointTimeout:
             runner = FabricRunner(
                 str(tmp_path), workers=1, point_timeout=0.05,
                 point_retries=1, max_batch_attempts=1,
-                spawn_workers=False,
             )
             with pytest.raises(FabricIncompleteError) as excinfo:
                 runner.run(spec)
@@ -563,12 +569,69 @@ class TestPointTimeout:
             spec = SweepSpec("fabric_sleepy",
                              grid={"duration": [0.0, 0.001]})
             runner = FabricRunner(str(tmp_path), workers=1,
-                                  point_timeout=10.0,
-                                  spawn_workers=False)
+                                  point_timeout=10.0)
             outcome = runner.run(spec)
             runner.close()
         assert outcome.executed == 2
         assert [r.metrics["slept"] for r in outcome] == [0.0, 0.001]
+
+
+# ----------------------------------------------------------------------
+# Lease renewal throttle
+# ----------------------------------------------------------------------
+class _CountingBoard(LeaseBoard):
+    renewals = 0
+
+    def heartbeat(self, *args, **kwargs):
+        self.renewals += 1
+        return super().heartbeat(*args, **kwargs)
+
+
+class TestLeaseRenewal:
+    TTL = 4.0
+
+    def drain_one_batch(self, directory, points, seconds_per_point):
+        """Drain a one-batch plan of ``points`` instant points under a
+        fake clock that advances ``seconds_per_point`` per stored
+        point; the number of lease renewals."""
+        from repro.experiments.runner import bind_spec_points
+        from repro.fabric.runner import FabricConfig, _drain_board
+
+        with temporary_study("fabric_instant"):
+            spec = SweepSpec("fabric_instant", grid={
+                "duration": [i * 1e-6 for i in range(points)]})
+            planned = [(p.key, p.as_dict())
+                       for p in bind_spec_points(spec)]
+            journal = SweepJournal(
+                run_id="renewals", study=spec.study,
+                spec_payload=spec.payload(),
+                spec_hash=spec_hash(spec.payload()),
+                store_dir=directory,
+                batches=plan_batches(planned, points))
+            store = ShardedResultStore(directory)
+            board = _CountingBoard(os.path.join(directory,
+                                                "leases.sqlite"))
+            board.register("renewals", ["b0000"])
+            ticks = iter(range(10 * points))
+            _drain_board(store, journal, board, None,
+                         FabricConfig(lease_ttl=self.TTL), "w0",
+                         clock=lambda: next(ticks) * seconds_per_point)
+            assert len(store) == points
+            assert board.done_batches("renewals") == ["b0000"]
+            board.close()
+            store.close()
+        return board.renewals
+
+    def test_fast_points_renew_far_less_than_once_per_point(
+            self, tmp_path):
+        renewals = self.drain_one_batch(str(tmp_path), 20,
+                                        self.TTL / 100)
+        assert 1 <= renewals < 20
+
+    def test_slow_points_renew_after_every_point(self, tmp_path):
+        renewals = self.drain_one_batch(str(tmp_path), 20,
+                                        self.TTL / 4 + 0.01)
+        assert renewals == 20
 
 
 # ----------------------------------------------------------------------
@@ -674,7 +737,7 @@ class TestRequestStop:
             spec = SweepSpec("fabric_stoppable",
                              grid={"duration": [0.2, 0.2001,
                                                 0.2002, 0.2003]})
-            oracle = SweepRunner(store=None, workers=1).run(spec)
+            oracle = run_sweep(spec, store=None, workers=1)
 
             store = ShardedResultStore(str(tmp_path))
             runner = FabricRunner(store, workers=1, batch_size=1)

@@ -449,22 +449,18 @@ class TestStudyMetricSets:
             assert clone.flatten() == tree.flatten(), study
 
     def test_point_results_expose_tree_and_flat_views(self, tmp_path):
-        from repro.experiments import (
-            ResultStore,
-            SweepRunner,
-            SweepSpec,
-        )
+        from repro.experiments import SweepSpec, run_sweep
 
         spec = SweepSpec("caches", base={"length": 300},
                          grid={"ratio": [0.4, 0.5]})
-        store = ResultStore(str(tmp_path / "store.jsonl"))
-        fresh = SweepRunner(store=store).run(spec)
+        store = str(tmp_path / "store")
+        fresh = run_sweep(spec, store=store)
         for result in fresh:
             assert result.metric_set is not None
             assert result.metric_tree.flatten() == result.metrics
             assert result.metric_tree.get("inverted_ratio").kind == "ratio"
         # cache hits rebuild the tree from the flat row
-        cached = SweepRunner(store=store).run(spec)
+        cached = run_sweep(spec, store=store)
         for result in cached:
             assert result.cached and result.metric_set is None
             assert result.metric_tree.flatten() == result.metrics

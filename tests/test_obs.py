@@ -67,7 +67,6 @@ class TestTracerDisabled:
         assert token is None
         t.end(token, "never")
         t.instant("never")
-        t.record_span("never", 0.0, 1.0)
         assert len(t) == 0
 
     def test_traced_decorator_passthrough(self):
@@ -524,9 +523,9 @@ class TestRunnerObservability:
 
     def test_store_backed_sweep_writes_manifest_and_events(
             self, tmp_path):
-        from repro.experiments import ResultStore, run_sweep
+        from repro.experiments import run_sweep
 
-        store = ResultStore(str(tmp_path / "store.jsonl"))
+        store = str(tmp_path)
         outcome = run_sweep(_tiny_spec(), store=store)
         assert outcome.run_id
         assert outcome.manifest_path == str(
@@ -554,9 +553,9 @@ class TestRunnerObservability:
     def test_consecutive_runs_keep_their_own_manifests(self, tmp_path):
         """Two runs on one store: each result's manifest carries its
         own run id, and manifest.json is the latest run's."""
-        from repro.experiments import ResultStore, run_sweep
+        from repro.experiments import run_sweep
 
-        store = ResultStore(str(tmp_path / "store.jsonl"))
+        store = str(tmp_path)
         first = run_sweep(_tiny_spec(), store=store)
         second = run_sweep(_tiny_spec(), store=store)
         assert first.manifest_path != second.manifest_path
@@ -566,7 +565,7 @@ class TestRunnerObservability:
             "executed"] == 2
         assert load_manifest(second.manifest_path)["run_id"] == \
             second.run_id
-        latest = load_manifest(manifest_path_for(store.path))
+        latest = load_manifest(str(tmp_path / "manifest.json"))
         assert latest == load_manifest(second.manifest_path)
 
     def test_point_error_names_point_and_lands_in_event_log(
@@ -575,7 +574,6 @@ class TestRunnerObservability:
         hash and parameters, and emit a structured point_error event."""
         from repro.experiments import (
             PointExecutionError,
-            ResultStore,
             SweepSpec,
             run_sweep,
         )
@@ -585,9 +583,8 @@ class TestRunnerObservability:
             base={"length": 400, "seed": 0, "suite": "bogus"},
             grid={"ratio": [0.4]},
         )
-        store = ResultStore(str(tmp_path / "store.jsonl"))
         with pytest.raises(PointExecutionError) as excinfo:
-            run_sweep(spec, store=store)
+            run_sweep(spec, store=str(tmp_path))
         error = excinfo.value
         assert error.study == "caches"
         assert error.key and len(error.key) == 20
@@ -625,9 +622,9 @@ class TestRunnerObservability:
             [r.metrics for r in parallel]
         names = {r["name"] for r in TRACER.records()}
         assert "sweep.run" in names
-        # Pool path ships worker spans + queue waits back; the serial
-        # fallback (platforms without multiprocessing) records the same
-        # sweep.execute spans directly.
+        # Spawned workers spool their spans back to the parent; the
+        # in-process fallback (platforms without multiprocessing)
+        # records the same sweep.execute spans directly.
         assert "sweep.execute" in names
 
 

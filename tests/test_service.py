@@ -23,7 +23,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.client import ServiceClient, ServiceError
-from repro.experiments import SweepRunner, SweepSpec
+from repro.experiments import SweepSpec, run_sweep
 from repro.experiments.registry import _STUDIES, register_study
 from repro.obs.provenance import load_manifest
 from repro.service import SweepService, TokenAuth
@@ -480,6 +480,17 @@ class TestLiveService:
                 client._request("GET", "/v2/nope")
             assert err.value.status == 404
 
+    def test_submit_rejects_removed_fabric_field(self, tmp_path):
+        with live_service(tmp_path / "svc") as (port, __):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            with pytest.raises(ServiceError) as err:
+                client._request("POST", "/v1/jobs", {
+                    "spec": {"study": "caches",
+                             "grid": {"ratio": [0.4]}},
+                    "fabric": True})
+            assert err.value.status == 400
+            assert "fabric" in str(err.value)
+
     def test_result_conflicts_until_done(self, tmp_path):
         with sleepy_study() as study:
             payload = {"study": study,
@@ -506,12 +517,12 @@ class TestLiveService:
             spec = SweepSpec(study, grid={
                 "duration": [0.4, 0.4001, 0.4002, 0.4003]})
             payload = {"study": study, "grid": dict(spec.grid)}
-            oracle = SweepRunner(store=None, workers=1).run(spec)
+            oracle = run_sweep(spec, store=None, workers=1)
 
             with live_service(directory, drain_grace=30.0) as \
                     (port, service):
                 client = ServiceClient(f"http://127.0.0.1:{port}")
-                job = client.submit(payload, fabric=True)
+                job = client.submit(payload)
                 job_id = job["job"]
                 deadline = time.monotonic() + 30
                 while client.status(job_id)["done"] < 1:
@@ -524,7 +535,9 @@ class TestLiveService:
             store = ShardedResultStore(str(directory))
             try:
                 if final.state == "incomplete":
-                    assert job_id in final.status()["resume"]
+                    assert final.status()["resume"] == (
+                        f"repro sweep --resume {job_id} "
+                        f"--store {directory}")
                     outcome = FabricRunner(
                         store, workers=1).resume(job_id)
                     rows = {r.point.key: r.metrics

@@ -45,3 +45,79 @@ def canonical_row(study: str, params: dict) -> str:
 def test_study_row_is_pinned(study, params, expected):
     row = canonical_row(study, params)
     assert hashlib.sha256(row.encode("utf-8")).hexdigest() == expected, row
+
+
+# ----------------------------------------------------------------------
+# Whole-sweep outputs through the CLI
+# ----------------------------------------------------------------------
+#: SHA-256 over the sorted canonical rows of a 2-ratio x 2-suite
+#: ``caches`` sweep at length 500, recorded with the flat-store sweep
+#: runner before every sweep moved onto the journaled fabric runner.
+#: Serial and spawned workers, with and without a store, must all
+#: reproduce it.
+SWEEP_ARGV = ["sweep", "caches", "--grid", "ratio=0.4,0.6",
+              "--suites", "specint2000", "office", "--length", "500",
+              "--quiet"]
+PINNED_SWEEP = (
+    "2b56093918571be7849d9c35af8898e20407cc93c021953545af669138c240d3")
+
+
+def _row(study, params, metrics) -> str:
+    return json.dumps({"study": study, "params": params,
+                       "metrics": metrics},
+                      sort_keys=True, separators=(",", ":"))
+
+
+def _digest(rows) -> str:
+    blob = "\n".join(sorted(rows)).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _stored_rows(path: str):
+    """Canonical rows of a store: a JSONL file or a directory of them."""
+    import os
+
+    files = [path]
+    if os.path.isdir(path):
+        files = [os.path.join(root, name)
+                 for root, __, names in os.walk(path) for name in names
+                 if name.endswith(".jsonl") and name != "events.jsonl"]
+    records = {}
+    for name in files:
+        with open(name, encoding="utf-8") as handle:
+            for line in handle:
+                if line.strip():
+                    record = json.loads(line)
+                    records[record["key"]] = record
+    return [_row(r["study"], r["params"], r["metrics"])
+            for r in records.values()]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("stored", [False, True],
+                         ids=["no-store", "store"])
+def test_cli_sweep_rows_are_pinned(workers, stored, tmp_path,
+                                   monkeypatch):
+    import repro.experiments
+    from repro.cli import main
+
+    captured = []
+    real_summary = repro.experiments.format_summary
+
+    def capture(results, **kwargs):
+        captured.extend(results)
+        return real_summary(results, **kwargs)
+
+    # --quiet skips the summary table; drop it so the results reach
+    # format_summary, where the test reads them.
+    argv = [arg for arg in SWEEP_ARGV if arg != "--quiet"]
+    monkeypatch.setattr(repro.experiments, "format_summary", capture)
+    store = str(tmp_path / "store")
+    argv += ["--workers", workers]
+    argv += ["--store", store] if stored else ["--no-store"]
+    assert main(argv) == 0
+    rows = [_row(r.point.study, r.params, r.metrics) for r in captured]
+    assert len(rows) == 4
+    assert _digest(rows) == PINNED_SWEEP
+    if stored:
+        assert _digest(_stored_rows(store)) == PINNED_SWEEP
