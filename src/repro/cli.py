@@ -216,7 +216,9 @@ def _sweep_store_dir(path: Optional[str]) -> str:
     """The store directory a sweep runs into.
 
     A regular file (such as a legacy flat ``store.jsonl``) is refused
-    rather than opened as a directory or written into.
+    rather than opened as a directory or written into, and so is a
+    ``.jsonl`` path that does not exist yet: it names a flat store file,
+    and the sweep would create a directory under that name.
     """
     directory = _store_dir(path)
     if os.path.isfile(directory):
@@ -224,6 +226,13 @@ def _sweep_store_dir(path: Optional[str]) -> str:
             f"--store {directory!r} is a file, not a store directory; "
             f"import a flat JSONL store with `repro store migrate "
             f"{directory} DIR` and pass --store DIR")
+    if directory.endswith(".jsonl") and not os.path.exists(directory):
+        suggested = directory[:-len(".jsonl")]
+        raise ValueError(
+            f"--store {directory!r} names a flat JSONL file, but a sweep "
+            f"store is a directory; pass a directory path such as "
+            f"--store {suggested} (a flat store is imported with "
+            f"`repro store migrate FILE {suggested}`)")
     return directory
 
 

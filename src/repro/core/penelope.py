@@ -169,11 +169,23 @@ class PenelopeProcessor:
         Mirrors the paper's two-step flow: K values come from profiling
         traces, then the policy is applied to the evaluation traces.
         """
+        return self._profiled_baseline(profiling_trace)[0]
+
+    def _profiled_baseline(
+        self, trace: Trace
+    ) -> Tuple[SchedulerPolicy, CoreResult]:
+        """``(derived policy, baseline result)`` of one unprotected run
+        with a :class:`SchedulerProfiler` attached.
+
+        The profiler only observes (it reads each fill, writes nothing
+        back), so the run's result is exactly :meth:`run_baseline`'s.
+        """
         profiler = SchedulerProfiler()
-        result = TraceDrivenCore(self.config, profiler).run(profiling_trace)
-        return derive_scheduler_policy(
+        result = TraceDrivenCore(self.config, profiler).run(trace)
+        policy = derive_scheduler_policy(
             profiler, result.scheduler.occupancy
         )
+        return policy, result
 
     def run_protected(
         self,
@@ -207,13 +219,21 @@ class PenelopeProcessor:
 
     # ------------------------------------------------------------------
     def evaluate(self, workload: Sequence[Trace]) -> PenelopeReport:
-        """Run baseline and protected passes and combine block costs."""
+        """Run baseline and protected passes and combine block costs.
+
+        Without an explicit ``scheduler_policy`` the policy is profiled
+        on ``workload[0]`` inside that trace's baseline run, so each
+        trace takes two core passes: baseline and protected.
+        """
         if not workload:
             raise ValueError("workload must contain at least one trace")
         policy = self.scheduler_policy
+        baseline: List[CoreResult] = []
         if policy is None:
-            policy = self.derive_policy(workload[0])
-        baseline = [self.run_baseline(trace) for trace in workload]
+            policy, first = self._profiled_baseline(workload[0])
+            baseline.append(first)
+        baseline += [self.run_baseline(trace)
+                     for trace in workload[len(baseline):]]
         protected = [self.run_protected(trace, policy) for trace in workload]
 
         # -- adder: idle injection at the measured utilisation ----------

@@ -34,24 +34,6 @@ except ImportError:  # pragma: no cover - exercised on the no-numpy leg
 from repro.metrics import MetricSet
 
 
-def unpack_bits(value: int, width: int):
-    """Little-endian bit vector (uint8 array, or tuple without numpy)."""
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    nbytes = (width + 7) // 8
-    if value >> (nbytes * 8):
-        raise ValueError(f"value {value!r} does not fit in {width} bits")
-    if np is None:
-        return tuple((value >> i) & 1 for i in range(width))
-    raw = np.frombuffer(value.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:width]
-
-
-def pack_bits(bits) -> int:
-    """Inverse of :func:`unpack_bits`."""
-    return sum(int(b) << i for i, b in enumerate(bits))
-
-
 def bit_weights(
     pairs: Iterable[Tuple[int, float]], width: int
 ) -> Tuple[float, List[float]]:

@@ -92,6 +92,16 @@ class Scheduler:
         self.layout = layout
         self.alloc_ports = alloc_ports
         self._offsets = layout.bit_offsets()
+        #: field -> (first bit, value mask) within a row
+        self._spans = {
+            field: (start, (1 << width) - 1)
+            for field, (start, width) in self._offsets.items()
+        }
+        self._mob_at, mob_mask = self._spans["mob_id"]
+        self._mob_bits = mob_mask << self._mob_at
+        valid_at, valid_mask = self._spans["valid"]
+        self._valid_clear = ~(valid_mask << valid_at)
+        self._compose = _row_composer(self._spans)
         self.bias = BitBiasAccumulator(entries, layout.total_bits)
         self._init_run_state()
 
@@ -156,20 +166,25 @@ class Scheduler:
         """
         self._check_slot(slot)
         self._use_port(now)
-        values = self.field_values(uop, mob_id, dst_tag, src1_tag, src2_tag)
-        self._write_fields(slot, values, now)
+        row = self._compose(uop, dst_tag, src1_tag, src2_tag)
+        if mob_id is None:
+            row |= self._slot_value[slot] & self._mob_bits
+        else:
+            row |= (mob_id << self._mob_at) & self._mob_bits
+        self._store(slot, row, now)
 
     def set_field(self, slot: int, field: str, value: int, now: float) -> None:
         """Update one field during residency (ready bits, data capture)."""
         self._check_slot(slot)
-        self._write_fields(slot, {field: value}, now)
+        self._store(slot, self._place(self._slot_value[slot], field, value),
+                    now)
 
     def release(self, slot: int, now: float) -> None:
         """Free a slot at issue; payload stays stale, valid drops to 0."""
         self._check_slot(slot)
         if not self._busy[slot]:
             raise ValueError(f"slot {slot} is not busy")
-        self._write_fields(slot, {"valid": 0}, now)
+        self._store(slot, self._slot_value[slot] & self._valid_clear, now)
         self._busy[slot] = False
         self._busy_time += now - self._busy_since[slot]
         self._counter += 1
@@ -197,7 +212,10 @@ class Scheduler:
             self._discarded_special += 1
             return False
         self._use_port(now)
-        self._write_fields(slot, values, now)
+        row = self._slot_value[slot]
+        for field, value in values.items():
+            row = self._place(row, field, value)
+        self._store(slot, row, now)
         self._special_writes += 1
         return True
 
@@ -208,8 +226,8 @@ class Scheduler:
     def field_value(self, slot: int, field: str) -> int:
         """Current value of one field of a slot."""
         self._check_slot(slot)
-        start, width = self._field_span(field)
-        return (self._slot_value[slot] >> start) & ((1 << width) - 1)
+        start, mask = self._field_span(field)
+        return (self._slot_value[slot] >> start) & mask
 
     # ------------------------------------------------------------------
     # Payload decoding
@@ -232,7 +250,6 @@ class Scheduler:
         evenly-used MOB slot ids (the paper's self-balancing argument).
         """
         layout = self.layout
-        data_mask = (1 << layout.src1_data) - 1
         values = {
             "valid": 1,
             "latency": min(uop.latency, (1 << layout.latency) - 1),
@@ -247,8 +264,8 @@ class Scheduler:
             "src2_tag": src2_tag & ((1 << layout.src2_tag) - 1),
             "ready1": 0,
             "ready2": 0,
-            "src1_data": uop.src1_value & data_mask,
-            "src2_data": uop.src2_value & data_mask,
+            "src1_data": uop.src1_value & ((1 << layout.src1_data) - 1),
+            "src2_data": uop.src2_value & ((1 << layout.src2_data) - 1),
             "immediate": uop.immediate & ((1 << layout.immediate) - 1),
             "opcode": uop.opcode & ((1 << layout.opcode) - 1),
         }
@@ -313,25 +330,23 @@ class Scheduler:
         return ms
 
     # ------------------------------------------------------------------
-    def _write_fields(
-        self, slot: int, values: Mapping[str, int], now: float
-    ) -> None:
-        composed = self._slot_value[slot]
-        for field, value in values.items():
-            start, width = self._field_span(field)
-            mask = (1 << width) - 1
-            if value < 0 or value > mask:
-                raise ValueError(
-                    f"value {value!r} does not fit field {field!r}"
-                )
-            composed = (composed & ~(mask << start)) | (value << start)
-        self._slot_value[slot] = composed
-        self.bias.set_value(slot, composed, now)
-        self._horizon = max(self._horizon, now)
+    def _place(self, row: int, field: str, value: int) -> int:
+        """``row`` with ``field`` replaced by ``value`` (range-checked)."""
+        start, mask = self._field_span(field)
+        if value < 0 or value > mask:
+            raise ValueError(f"value {value!r} does not fit field {field!r}")
+        return (row & ~(mask << start)) | (value << start)
+
+    def _store(self, slot: int, row: int, now: float) -> None:
+        self._slot_value[slot] = row
+        self.bias.set_value(slot, row, now)
+        if now > self._horizon:
+            self._horizon = now
 
     def _field_span(self, field: str) -> Tuple[int, int]:
+        """``(first bit, value mask)`` of a field."""
         try:
-            return self._offsets[field]
+            return self._spans[field]
         except KeyError:
             raise KeyError(f"unknown scheduler field {field!r}") from None
 
@@ -342,3 +357,52 @@ class Scheduler:
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.entries:
             raise IndexError(f"slot index out of range: {slot}")
+
+
+def _row_composer(spans: Mapping[str, Tuple[int, int]]):
+    """``compose(uop, dst_tag, src1_tag, src2_tag) -> row``: a fill's
+    whole payload as one word, equal to composing
+    :meth:`Scheduler.field_values` field by field, but without the
+    ``mob_id`` bits (the caller keeps them stale or writes the id).
+
+    Every shift and mask comes from ``spans`` (field -> ``(first bit,
+    value mask)`` of the scheduler's layout), bound once per
+    scheduler; a fill then runs no per-field loop.
+    """
+    valid = 1 << spans["valid"][0]
+    lat_at, lat_max = spans["latency"]
+    port_at, port_mask = spans["port"]
+    taken_at, taken_mask = spans["taken"]
+    tos_at, tos_mask = spans["tos"]
+    flags_at, flags_mask = spans["flags"]
+    shift1_at, shift1_mask = spans["shift1"]
+    shift2_at, shift2_mask = spans["shift2"]
+    dst_at, dst_mask = spans["dst_tag"]
+    tag1_at, tag1_mask = spans["src1_tag"]
+    tag2_at, tag2_mask = spans["src2_tag"]
+    data1_at, data1_mask = spans["src1_data"]
+    data2_at, data2_mask = spans["src2_data"]
+    imm_at, imm_mask = spans["immediate"]
+    op_at, op_mask = spans["opcode"]
+
+    def compose(uop: Uop, dst_tag: int, src1_tag: int, src2_tag: int) -> int:
+        latency = uop.latency
+        return (
+            valid
+            | (latency if latency < lat_max else lat_max) << lat_at
+            | ((1 << uop.port) & port_mask) << port_at
+            | (uop.taken & taken_mask) << taken_at
+            | (uop.tos & tos_mask) << tos_at
+            | (uop.flags & flags_mask) << flags_at
+            | (uop.shift1 & shift1_mask) << shift1_at
+            | (uop.shift2 & shift2_mask) << shift2_at
+            | (dst_tag & dst_mask) << dst_at
+            | (src1_tag & tag1_mask) << tag1_at
+            | (src2_tag & tag2_mask) << tag2_at
+            | (uop.src1_value & data1_mask) << data1_at
+            | (uop.src2_value & data2_mask) << data2_at
+            | (uop.immediate & imm_mask) << imm_at
+            | (uop.opcode & op_mask) << op_at
+        )
+
+    return compose

@@ -37,6 +37,40 @@ def assert_core_results_equal(lhs, rhs):
                                                 rhs.dtlb.misses)
     assert lhs.adder_utilization == rhs.adder_utilization
     assert lhs.adder_samples == rhs.adder_samples
+    assert np.array_equal(lhs.scheduler.flattened_bias(include_opcode=True),
+                          rhs.scheduler.flattened_bias(include_opcode=True))
+
+
+class TestProfilerOnlyObserves:
+    """PenelopeProcessor.evaluate profiles the scheduler inside the
+    baseline run; that is exact only because the profiler writes
+    nothing back into the core."""
+
+    @pytest.mark.parametrize("suite", ["specint2000", "specfp2000",
+                                       "office", "server", "kernels"])
+    def test_profiled_run_equals_plain_run(self, suite):
+        from repro.core.memory_like import SchedulerProfiler
+        from repro.uarch import TraceDrivenCore
+        from repro.workloads import TraceGenerator
+
+        trace = TraceGenerator(seed=5).generate(suite, length=1500)
+        profiler = SchedulerProfiler()
+        profiled = TraceDrivenCore(hooks=profiler).run(trace)
+        assert profiler.fills == profiled.uops == 1500
+        assert_core_results_equal(profiled, TraceDrivenCore().run(trace))
+
+    def test_fused_pass_equals_separate_passes(self, small_trace):
+        from repro.core import PenelopeProcessor
+
+        processor = PenelopeProcessor()
+        fused = processor.evaluate([small_trace])
+        assert_core_results_equal(fused.baseline[0],
+                                  processor.run_baseline(small_trace))
+        policy = processor.derive_policy(small_trace)
+        explicit = PenelopeProcessor(scheduler_policy=policy).evaluate(
+            [small_trace])
+        assert fused.efficiency == explicit.efficiency
+        assert fused.scheduler_bias == explicit.scheduler_bias
 
 
 class TestBuildCore:

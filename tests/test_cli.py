@@ -85,7 +85,7 @@ class TestCommands:
         assert "531" in out  # Table 1 total trace count
 
     def test_sweep_and_results(self, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         argv = ["sweep", "caches", "--grid", "ratio=0.4,0.6",
                 "--suites", "office", "kernels", "--length", "600",
                 "--store", store, "--verbose"]
@@ -142,9 +142,20 @@ class TestCommands:
             assert main(argv) == 2
             assert "store migrate" in capsys.readouterr().err
         assert flat.read_text() == ""
+        # A .jsonl path that does not exist yet is refused too, naming a
+        # directory to use instead, and nothing is created under it.
+        missing = tmp_path / "new.jsonl"
+        for argv in (["sweep", "caches", "--suites", "office",
+                      "--store", str(missing)],
+                     ["sweep", "--resume", "abc", "--store", str(missing)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "store migrate" in err
+            assert f"--store {tmp_path / 'new'}" in err
+        assert not missing.exists()
 
     def test_report_renders_stored_sweep(self, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["sweep", "caches", "--grid", "ratio=0.4,0.6",
                      "--suites", "office", "kernels", "--length", "600",
                      "--store", store]) == 0
@@ -166,7 +177,7 @@ class TestCommands:
         assert "(mixed)" in out
 
     def test_report_bad_inputs_exit_cleanly(self, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["report", "--store", store]) == 2
         assert "--study" in capsys.readouterr().err
 
@@ -267,7 +278,7 @@ class TestCommands:
             sweep={"protection.dl0.params.ratio": [0.4, 0.6]})
         config = tmp_path / "study.json"
         config.write_text(spec.to_json())
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
 
         argv = ["run", "--config", str(config), "--store", store,
                 "--verbose"]
@@ -339,7 +350,7 @@ class TestCommands:
         assert "does not consume" in capsys.readouterr().err
 
     def test_sweep_study_option_alias(self, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["sweep", "--study", "caches", "--grid",
                      "ratio=0.4", "--suites", "office", "--length",
                      "400", "--store", store]) == 0
@@ -355,7 +366,7 @@ class TestCommands:
         assert "pass a study" in capsys.readouterr().err
 
     def test_sweep_quiet_suppresses_output(self, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["sweep", "caches", "--grid", "ratio=0.4",
                      "--suites", "office", "--length", "400",
                      "--store", store, "--quiet"]) == 0
@@ -365,7 +376,7 @@ class TestCommands:
     def test_sweep_json_progress(self, capsys, tmp_path):
         import json
 
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["sweep", "caches", "--grid", "ratio=0.4,0.6",
                      "--suites", "office", "--length", "400",
                      "--store", store, "--progress", "json"]) == 0
@@ -384,7 +395,7 @@ class TestCommands:
         assert events[-1]["run_id"]
 
     def test_sweep_footer_names_slowest_point(self, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["sweep", "caches", "--grid", "ratio=0.4,0.6",
                      "--suites", "office", "--length", "400",
                      "--store", store]) == 0
@@ -405,7 +416,7 @@ class TestCommands:
 
         from repro.obs.trace import TRACER
 
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         try:
             assert main(["sweep", "--study", "caches", "--trace",
                          "--grid", "ratio=0.4,0.6", "--suites",
@@ -453,7 +464,7 @@ class TestCommands:
 
     def test_results_and_report_show_provenance_header(self, capsys,
                                                        tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["sweep", "caches", "--grid", "ratio=0.4",
                      "--suites", "office", "--length", "400",
                      "--store", store, "--quiet"]) == 0
@@ -478,7 +489,7 @@ class TestCommands:
                      "--no-store"]) == 2
         assert "unknown study" in capsys.readouterr().err
 
-    def test_sweep_bad_inputs_exit_cleanly(self, capsys):
+    def test_sweep_bad_inputs_exit_cleanly(self, capsys, tmp_path):
         cases = [
             ["sweep", "caches", "--grid", "noequals", "--no-store"],
             ["sweep", "caches", "--grid", "ratio=", "--no-store"],
@@ -503,6 +514,10 @@ class TestCommands:
              "--suites", "office", "--no-store"],
             ["sweep", "caches", "--backend", "reference", "--suites",
              "office", "--no-store"],
+            # A .jsonl path that does not exist names a flat store file;
+            # the sweep would otherwise create a directory under it.
+            ["sweep", "caches", "--suites", "office", "--length", "300",
+             "--store", str(tmp_path / "x.jsonl")],
         ]
         for argv in cases:
             try:

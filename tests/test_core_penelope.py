@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import PenelopeProcessor
+from repro.core.memory_like import PAPER_SCHEDULER_POLICY, SchedulerProfiler
 from repro.core.metric import BASELINE_GUARDBAND
+from repro.uarch.core import CompositeHooks, CoreHooks, TraceDrivenCore
 from repro.workloads import generate_workload
 
 
@@ -79,3 +81,43 @@ class TestPenelopeConfiguration:
         policy = PenelopeProcessor().derive_policy(trace)
         assert "flags" in policy
         assert len(policy["src1_data"]) == 32
+
+
+class TestCorePasses:
+    """The policy is profiled inside the first baseline run: two core
+    passes per trace, whether the policy is derived or given."""
+
+    @pytest.fixture
+    def hooks_per_run(self, monkeypatch):
+        seen = []
+        real_run = TraceDrivenCore.run
+
+        def counting_run(core, trace):
+            seen.append(type(core.hooks))
+            return real_run(core, trace)
+
+        monkeypatch.setattr(TraceDrivenCore, "run", counting_run)
+        return seen
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        return generate_workload(traces_per_suite=1, length=600,
+                                 suites=["office", "kernels"], seed=7)
+
+    def test_derived_policy_one_trace(self, hooks_per_run, workload):
+        PenelopeProcessor().evaluate(workload[:1])
+        assert hooks_per_run == [SchedulerProfiler, CompositeHooks]
+
+    def test_derived_policy_two_traces(self, hooks_per_run, workload):
+        PenelopeProcessor().evaluate(workload)
+        # Only the observe-only profiler shares a baseline pass; the
+        # second baseline is a plain core.
+        assert hooks_per_run == [SchedulerProfiler, CoreHooks,
+                                 CompositeHooks, CompositeHooks]
+
+    @pytest.mark.parametrize("traces", [1, 2])
+    def test_explicit_policy(self, hooks_per_run, workload, traces):
+        PenelopeProcessor(scheduler_policy=PAPER_SCHEDULER_POLICY).evaluate(
+            workload[:traces])
+        assert hooks_per_run == ([CoreHooks] * traces
+                                 + [CompositeHooks] * traces)

@@ -9,7 +9,7 @@ from repro.core.metric import nbti_efficiency
 from repro.core.policy import BitDirective, Technique, ideal_k, repair_bit
 from repro.nbti.guardband import GuardbandModel
 from repro.nbti.physics import ReactionDiffusionModel, steady_state_fill
-from repro.uarch.bitbias import BitBiasAccumulator, pack_bits, unpack_bits
+from repro.uarch.bitbias import BitBiasAccumulator
 
 # A shared small adder: building it inside every example is wasteful.
 _ADDER = build_ladner_fischer_adder(width=16)
@@ -125,10 +125,6 @@ class TestPolicyProperties:
 
 
 class TestBitPackingProperties:
-    @given(value=st.integers(min_value=0, max_value=(1 << 80) - 1))
-    def test_unpack_pack_roundtrip(self, value):
-        assert pack_bits(unpack_bits(value, 80)) == value
-
     @given(
         values=st.lists(
             st.tuples(

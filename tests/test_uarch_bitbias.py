@@ -12,33 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.uarch import bitbias
-from repro.uarch.bitbias import BitBiasAccumulator, pack_bits, unpack_bits
-
-
-class TestUnpackPack:
-    @pytest.mark.parametrize("value,width", [
-        (0, 8), (1, 8), (255, 8), (0b1010, 4), (1 << 79, 80), (12345, 16),
-    ])
-    def test_roundtrip(self, value, width):
-        assert pack_bits(unpack_bits(value, width)) == value
-
-    def test_little_endian_order(self):
-        bits = unpack_bits(0b110, 3)
-        assert list(bits) == [0, 1, 1]
-
-    def test_width_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            unpack_bits(256, 8)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            unpack_bits(-1, 8)
-
-    def test_array_type_with_numpy(self):
-        np = pytest.importorskip("numpy")
-        bits = unpack_bits(5, 8)
-        assert isinstance(bits, np.ndarray) and bits.dtype == np.uint8
-        assert np.array_equal(bits, unpack_bits(5, 8))
+from repro.uarch.bitbias import BitBiasAccumulator
 
 
 class TestBitBiasAccumulator:

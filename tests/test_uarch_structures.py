@@ -194,12 +194,19 @@ class TestScheduler:
         slot = sched.allocate(0.0)
         with pytest.raises(ValueError):
             sched.set_field(slot, "taken", 2, 0.5)
+        with pytest.raises(ValueError):
+            sched.set_field(slot, "flags", -1, 0.5)
 
     def test_unknown_field_rejected(self):
         sched = Scheduler(entries=1)
         slot = sched.allocate(0.0)
         with pytest.raises(KeyError):
             sched.set_field(slot, "bogus", 1, 0.5)
+        sched.release(slot, 1.0)
+        with pytest.raises(KeyError):
+            sched.write_special(slot, {"bogus": 1}, 2.0)
+        with pytest.raises(ValueError):
+            sched.write_special(slot, {"flags": 1 << 6}, 2.0)
 
     def test_stats_shapes(self):
         sched = Scheduler(entries=2)
